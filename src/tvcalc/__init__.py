@@ -13,6 +13,7 @@ from .colourings import (
     colouring_weight,
     enumerate_admissible,
     state_sum,
+    sweep_sum,
     tetrahedron_weight,
     tv,
     tv_at_class,

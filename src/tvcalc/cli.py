@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
 triangulation.  JSON output never includes wall-clock times, so it is
-byte-identical across runs and thread counts; timings appear only in
-the human-readable form.
+byte-identical across runs; timings appear only in the human-readable
+form.
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ import mpmath
 
 from .census import enumerate_census
 from .colourings import (
-    WeightSystem,
     _checked_skeleton,
+    _elimination_sum,
     admissible_colouring,
     enumerate_admissible,
     state_sum,
+    sweep_sum,
 )
 from .cyclotomic import field_init, numeric_eval
 from .fastalgo import adm4_structured, bounds, tv_odd_fast
-from .homology import cocycle_space_1
+from .homology import betti_z2, cocycle_space_1
 from .loopcoords import (
     IntersectionSymbol,
     decompose_symbol,
@@ -36,7 +37,7 @@ from .loopcoords import (
     symbol_of,
     tet_weight_loop,
 )
-from .colourings import tetrahedron_weight, tv_at_class
+from .colourings import tetrahedron_weight, tv, tv_at_class
 from .triangulation import parse_triangulation, serialise_triangulation
 
 USAGE = 2
@@ -50,15 +51,18 @@ def _fail_usage(message: str) -> int:
 
 
 def _load_skeleton(path: str):
-    """Parse and validate; returns a Skeleton or an exit code."""
+    """Parse and validate; returns a connected closed 3-manifold
+    Skeleton or an exit code."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         print(f"tv: cannot read {path}: {exc}", file=sys.stderr)
         return INVALID_INPUT
     try:
-        tri = parse_triangulation(text)
-        return _checked_skeleton(tri)
+        skel = _checked_skeleton(parse_triangulation(text))
+        if betti_z2(skel, 0) != 1:
+            raise ValueError("triangulation is not connected")
+        return skel
     except ValueError as exc:
         print(f"tv: invalid triangulation in {path}: {exc}", file=sys.stderr)
         return INVALID_INPUT
@@ -157,8 +161,8 @@ def _cmd_compute(args) -> int:
         field_init(args.r, args.q)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    if args.threads < 1:
-        return _fail_usage("--threads must be >= 1")
+    if args.digits < 1:
+        return _fail_usage("--digits must be >= 1")
 
     class_coords = None
     if args.class_bits is not None:
@@ -173,21 +177,20 @@ def _cmd_compute(args) -> int:
     if algorithm is None:
         return USAGE
 
+    # every value comes from the elimination engine (odd-fast runs it on
+    # the integer colours and rescales); the algorithm picks the search
+    # behind the reported counts
     start = time.perf_counter()
     if algorithm == "tv4":
-        colourings, stats = adm4_structured(skel, threads=args.threads)
-        weights = WeightSystem(skel, 4, args.q)
-        value = weights.ctx.zero
-        for col in colourings:
-            value = value + weights.colouring_weight(col)
+        value = _elimination_sum(skel, 4, args.q)
+        _, stats = adm4_structured(skel)
     elif algorithm == "odd-fast":
         value = tv_odd_fast(skel, args.r)
-        # counts describe the level-r integer-only search the fast path runs
+        # counts describe the level-r integer-only search
         _, stats = enumerate_admissible(skel, args.r, integer_only=True)
     else:
         value, stats = state_sum(skel, args.r, args.q,
-                                 class_coords=class_coords,
-                                 threads=args.threads)
+                                 class_coords=class_coords)
     wall = time.perf_counter() - start
 
     approx = numeric_eval(value, args.digits)
@@ -320,14 +323,13 @@ def _run_verify(skel, r: int) -> int:
               f"[weights {'agree' if same else 'DIFFER'}]")
     check("loop weights equal edge-colour weights", weights_ok)
 
-    weights = WeightSystem(skel, r, 1)
-    total = weights.ctx.zero
-    for col in colourings:
-        total = total + weights.colouring_weight(col)
-    by_class = weights.ctx.zero
+    total = sweep_sum(skel, colourings, r, 1)
+    by_class = total.ctx.zero
     for bits in range(1 << basis.beta1):
         coords = tuple((bits >> k) & 1 for k in range(basis.beta1))
         by_class = by_class + tv_at_class(skel, r, 1, coords)
+    check("elimination sum matches the colouring sweep",
+          tv(skel, r, 1) == total)
     check("class-wise sums add up to the state sum", by_class == total)
 
     if r == 4:
@@ -389,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(bit string of length beta1)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output, no timings")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--digits", type=int, default=12,
                    help="decimal display precision")
     p.set_defaults(handler=_cmd_compute)

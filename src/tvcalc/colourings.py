@@ -12,15 +12,22 @@ triangles complete as early as possible.  ``EnumerationStats.nodes_visited``
 counts the fully assigned candidates built at the bottom of the search
 tree; pruned interior branches never build a candidate and are not
 counted.
+
+Every invariant value comes from one engine, ``_elimination_sum``:
+dynamic programming over tetrahedra that never lists whole colourings.
+``sweep_sum`` multiplies out the weight of each colouring of a given
+list; it is the engine's independent oracle.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cyclotomic import Cyc, FieldContext, field_init
 from .homology import CocycleBasis, cocycle_space_1, reduce_colouring
 from .triangulation import (
+    FACE_EDGES,
     Skeleton,
     Triangulation,
     build_skeleton,
@@ -39,6 +46,7 @@ __all__ = [
     "tetrahedron_weight",
     "WeightSystem",
     "colouring_weight",
+    "sweep_sum",
     "state_sum",
     "tv",
     "tv_at_class",
@@ -214,7 +222,8 @@ _CACHES: dict = {}
 def _cache(ctx: FieldContext) -> dict:
     got = _CACHES.get((ctx.r, ctx.q))
     if got is None:
-        got = {"edge": {}, "triangle": {}, "tet": {}, "vertex": None}
+        got = {"edge": {}, "triangle": {}, "tet": {}, "tet_raw": {},
+               "local": {}, "vertex": None}
         _CACHES[(ctx.r, ctx.q)] = got
     return got
 
@@ -297,6 +306,10 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
     smallest quad sum (halved colours), empty range giving zero.
     """
     colours = tuple(colours)
+    pool = _cache(ctx)
+    got = pool["tet_raw"].get(colours)    # checked before it was stored
+    if got is not None:
+        return got
     if len(colours) != 6:
         raise ValueError(f"expected 6 colours, got {len(colours)}")
     for ia, ib, ic in _TET_TRIANGLES:
@@ -306,13 +319,18 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
                 f"triangle colours ({colours[ia]}, {colours[ib]}, "
                 f"{colours[ic]}) are not admissible for r={ctx.r}")
 
-    pool = _cache(ctx)["tet"]
+    # the raw tuple missed; share the value among all 24 relabellings
     key = min(tuple(colours[m[k]] for k in range(6))
               for m in _TET_SYMMETRIES)
-    got = pool.get(key)
-    if got is not None:
-        return got
+    got = pool["tet"].get(key)
+    if got is None:
+        got = pool["tet"][key] = _tet_weight_sum(ctx, colours)
+    pool["tet_raw"][colours] = got
+    return got
 
+
+def _tet_weight_sum(ctx: FieldContext, colours: tuple) -> Cyc:
+    """The alternating sum of ``tetrahedron_weight``, uncached."""
     tri_sums = [sum(colours[k] for k in tri) // 2 for tri in _TET_TRIANGLES]
     quad_sums = [sum(colours[k] for k in qd) // 2 for qd in _TET_QUADS]
     lo = max(tri_sums)
@@ -329,7 +347,6 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
         if z & 1:
             term = -term
         total = total + term
-    pool[key] = total
     return total
 
 
@@ -365,14 +382,240 @@ def colouring_weight(source, colouring, r: int, q: int = 1) -> Cyc:
     return WeightSystem(skel, r, q).colouring_weight(doubled)
 
 
+# ---------------------------------------------------------------------------
+# state sum
+
+# skeletons found valid so far; validity depends only on a skeleton's
+# content, so an equal skeleton built again counts as checked too
+_VALIDATED = weakref.WeakSet()
+
+
 def _checked_skeleton(source) -> Skeleton:
+    """The skeleton of ``source``, validated once per distinct skeleton."""
     skel = _as_skeleton(source)
+    if skel in _VALIDATED:
+        return skel
     report = validate_closed_3manifold(skel)
     if not report.is_closed_3manifold:
         raise ValueError(
             "not a closed 3-manifold triangulation: "
             + "; ".join(report.messages))
+    _VALIDATED.add(skel)
     return skel
+
+
+def sweep_sum(skel: Skeleton, colourings, r: int, q: int = 1) -> Cyc:
+    """Sum of ``WeightSystem.colouring_weight`` over the given colourings.
+
+    Over all admissible colourings this is the state sum term by term,
+    about 4n + 2 field products per colouring.  It is the independent
+    oracle for the elimination engine and the sum behind the paper's
+    structured enumerations.
+    """
+    system = WeightSystem(skel, r, q)
+    total = system.ctx.zero
+    for col in colourings:
+        total = total + system.colouring_weight(col)
+    return total
+
+
+def _elimination_plan(skel: Skeleton):
+    """Tetrahedron order and per-step bookkeeping of the elimination sum.
+
+    Greedy: next comes the tetrahedron that introduces the fewest new
+    edge classes minus the edge classes it finishes (no later tetrahedron
+    contains them), ties broken by index.  Returns one step per
+    tetrahedron: (tet, new edge classes, faces carrying the triangle
+    classes seen for the first time, finished edge classes).
+    """
+    tets = [tuple(sorted(set(edges))) for edges in skel.tet_edge_classes]
+    uses = [0] * skel.e
+    for edges in tets:
+        for e in edges:
+            uses[e] += 1
+    introduced = set()
+    seen_triangles = set()
+    left = set(range(len(tets)))
+
+    def score(t):
+        new = sum(1 for e in tets[t] if e not in introduced)
+        done = sum(1 for e in tets[t] if uses[e] == 1)
+        return new - done, t
+
+    steps = []
+    while left:
+        t = min(left, key=score)
+        left.remove(t)
+        new = [e for e in tets[t] if e not in introduced]
+        introduced.update(new)
+        for e in tets[t]:
+            uses[e] -= 1
+        faces = []
+        for face in range(4):
+            c = skel.triangle_class[4 * t + face]
+            if c not in seen_triangles:
+                seen_triangles.add(c)
+                faces.append(face)
+        finished = {e for e in tets[t] if uses[e] == 0}
+        steps.append((t, new, tuple(faces), finished))
+    return steps
+
+
+def _local_factor(ctx: FieldContext, colours: tuple, edges: tuple,
+                  faces: tuple) -> Cyc:
+    """Tetrahedron weight times the weights of the local edges ``edges``
+    and of the triangles on ``faces``, all read off the six colours.
+
+    The edge and triangle part depends only on the multisets of edge
+    colours and triangle colour triples; it is cached per level under
+    that key, so every step shares it, across calls too.
+    """
+    tet = tetrahedron_weight(ctx, colours)
+    if tet.is_zero():
+        return tet
+    key = (tuple(sorted(colours[k] for k in edges)),
+           tuple(sorted(tuple(sorted(colours[k] for k in FACE_EDGES[face]))
+                        for face in faces)))
+    pool = _cache(ctx)["local"]
+    rest = pool.get(key)
+    if rest is None:
+        rest = ctx.one
+        for a in key[0]:
+            rest = rest * edge_weight(ctx, a)
+        for a, b, c in key[1]:
+            rest = rest * triangle_weight(ctx, a, b, c)
+        pool[key] = rest
+    return tet * rest
+
+
+def _picker(indices):
+    """Function taking a tuple to the tuple of its entries at indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i = indices[0]
+        return lambda key: (key[i],)
+    return lambda key: ()
+
+
+def _extensions(r: int, domain, sig: tuple, n_new: int, checks):
+    """Local colourings sig + ext passing the new triangle checks.
+
+    checks[k] lists the slot triples decided once k new edges are
+    assigned; the search backtracks as enumerate_admissible does.
+    """
+    colours = list(sig) + [0] * n_new
+    base = len(sig)
+    found = []
+
+    def ok(k):
+        return all(admissible_triple(r, colours[a], colours[b], colours[c])
+                   for a, b, c in checks[k])
+
+    def walk(k):
+        if k == n_new:
+            found.append(tuple(colours))
+            return
+        for value in domain:
+            colours[base + k] = value
+            if ok(k + 1):
+                walk(k + 1)
+
+    if ok(0):
+        walk(0)
+    return found
+
+
+def _elimination_sum(skel: Skeleton, r: int, q: int,
+                     integer_only: bool = False, class_coords=None) -> Cyc:
+    """State sum by dynamic programming over tetrahedra.
+
+    The fixed-parameter algorithm of Burton, Maria and Spreer
+    (arXiv:1503.04099).  The table maps (colours of the active edge
+    classes, Z/2 class bits) to the summed weight of the partial
+    colourings behind that key.  Each step of ``_elimination_plan``
+    extends every key by colours on the tetrahedron's new edges, rejects
+    extensions that make a newly seen triangle class inadmissible,
+    multiplies by one cached local factor (new edge weights, newly seen
+    triangle weights, the tetrahedron weight), and sums out the edge
+    classes the tetrahedron finishes.  ``reduce_colouring`` is linear,
+    so the class bits are an XOR of per-edge contributions over the odd
+    colours.  The vertex factor comes in once at the end.
+
+    Equals ``sweep_sum`` over ``enumerate_admissible`` with the same
+    ``integer_only`` and ``class_coords``.
+    """
+    ctx = field_init(r, q)
+    domain = tuple(range(0, r - 1, 2) if integer_only else range(r - 1))
+    edge_bits = [0] * skel.e
+    target = 0
+    if class_coords is not None:
+        basis = cocycle_space_1(skel)
+        coords = tuple(int(b) for b in class_coords)
+        if len(coords) != basis.beta1:
+            raise ValueError(
+                f"class has length {len(coords)}, expected {basis.beta1}")
+        if any(b not in (0, 1) for b in coords):
+            raise ValueError(f"class coordinates must be 0 or 1, got {coords}")
+        target = sum(b << k for k, b in enumerate(coords))
+        edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
+
+    table = {(0,): ctx.one}     # key: active colours, then class bits
+    active = []
+    for t, new, faces, finished in _elimination_plan(skel):
+        tet_edges = skel.tet_edge_classes[t]
+        old = [e for e in active if e in tet_edges]
+        slot = {e: i for i, e in enumerate(old + new)}
+        sig_of = _picker([active.index(e) for e in old])
+        keep_old = _picker([i for i, e in enumerate(active)
+                            if e not in finished])
+        keep_new = [j for j, e in enumerate(new) if e not in finished]
+        tet_slots = [slot[e] for e in tet_edges]
+        new_edges = tuple(tet_edges.index(e) for e in new)
+        checks = [[] for _ in range(len(new) + 1)]
+        for face in faces:
+            tri = tuple(tet_slots[k] for k in FACE_EDGES[face])
+            checks[max(0, max(tri) - len(old) + 1)].append(tri)
+        new_bits = [edge_bits[e] for e in new]
+
+        options = {}
+
+        def factors(sig):
+            out = []
+            for colours in _extensions(r, domain, sig, len(new), checks):
+                weight = _local_factor(
+                    ctx, tuple(colours[k] for k in tet_slots), new_edges,
+                    faces)
+                if weight.is_zero():
+                    continue
+                ext = colours[len(sig):]
+                bits = 0
+                for a, contribution in zip(ext, new_bits):
+                    if a & 1:
+                        bits ^= contribution
+                out.append((tuple(ext[j] for j in keep_new), bits, weight))
+            return out
+
+        nxt = {}
+        for key, value in table.items():
+            sig = sig_of(key)
+            opts = options.get(sig)
+            if opts is None:
+                opts = options[sig] = factors(sig)
+            head = keep_old(key)
+            bits = key[-1]
+            for tail, ext_bits, weight in opts:
+                new_key = head + tail + (bits ^ ext_bits,)
+                term = value * weight
+                got = nxt.get(new_key)
+                nxt[new_key] = term if got is None else got + term
+        table = nxt
+        active = ([e for e in active if e not in finished]
+                  + [new[j] for j in keep_new])
+
+    # every edge class is finished, so only the class bits remain
+    total = table.get((target,), ctx.zero)
+    return total * vertex_weight(ctx) ** skel.v
 
 
 def state_sum(
@@ -381,53 +624,28 @@ def state_sum(
     q: int = 1,
     class_coords=None,
     integer_only: bool = False,
-    threads: int = 1,
 ):
-    """Exact invariant value plus enumeration statistics.
+    """Exact invariant value plus the statistics of the colouring search.
 
-    The sum is chunked when threads > 1; exact field addition makes the
-    result identical for every thread count.
+    The value comes from the elimination engine; the statistics from
+    ``enumerate_admissible`` with the same restrictions.
     """
     skel = _checked_skeleton(source)
-    colourings, stats = enumerate_admissible(
+    _, stats = enumerate_admissible(
         skel, r, integer_only=integer_only, class_coords=class_coords)
-    system = WeightSystem(skel, r, q)
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    if threads == 1 or len(colourings) < 2 * threads:
-        total = system.ctx.zero
-        for col in colourings:
-            total = total + system.colouring_weight(col)
-        return total, stats
-
-    def chunk_sum(chunk):
-        part = system.ctx.zero
-        for col in chunk:
-            part = part + system.colouring_weight(col)
-        return part
-
-    step = -(-len(colourings) // threads)
-    chunks = [colourings[i:i + step]
-              for i in range(0, len(colourings), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(chunk_sum, chunks))
-    total = system.ctx.zero
-    for part in parts:
-        total = total + part
-    return total, stats
+    value = _elimination_sum(skel, r, q, integer_only=integer_only,
+                             class_coords=class_coords)
+    return value, stats
 
 
-def tv(source, r: int, q: int = 1, threads: int = 1) -> Cyc:
+def tv(source, r: int, q: int = 1) -> Cyc:
     """The invariant of a closed triangulation: sum of the weights of all
     admissible colourings."""
-    value, _ = state_sum(source, r, q, threads=threads)
-    return value
+    return _elimination_sum(_checked_skeleton(source), r, q)
 
 
-def tv_at_class(source, r: int, q: int, class_coords,
-                threads: int = 1) -> Cyc:
+def tv_at_class(source, r: int, q: int, class_coords) -> Cyc:
     """Partial invariant: only colourings whose half-integer pattern lies
     in the given cohomology class (bit per class generator)."""
-    value, _ = state_sum(source, r, q, class_coords=class_coords,
-                         threads=threads)
-    return value
+    return _elimination_sum(_checked_skeleton(source), r, q,
+                            class_coords=class_coords)

@@ -5,13 +5,12 @@ Each level-4 colouring reduces mod 2 to one of them, which turns the
 level-4 search into small independent searches over the zero-coloured
 edges of each cocycle.  For odd levels on one-vertex triangulations the
 state sum factors through the level-3 invariant and the integer-coloured
-part, so only even colours need enumerating.
+part, so only even colours need summing.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +19,9 @@ from .colourings import (
     EnumerationStats,
     WeightSystem,
     _checked_skeleton,
+    _elimination_sum,
     enumerate_admissible,
-    state_sum,
+    sweep_sum,
 )
 from .cyclotomic import Cyc, field_init
 from .homology import cocycle_space_1
@@ -112,7 +112,7 @@ def _extend_cocycle(skel: Skeleton, doubled3, kernel):
     return found, tested
 
 
-def adm4_structured(source, threads: int = 1):
+def adm4_structured(source):
     """Level-4 admissible colourings via their mod-2 reductions.
 
     Returns (colourings sorted lexicographically, EnumerationStats).
@@ -124,19 +124,11 @@ def adm4_structured(source, threads: int = 1):
     stats = EnumerationStats()
     found = []
 
-    jobs = [(theta.doubled, kernel)
-            for theta, kernel in zip(cert.colourings, cert.kernels)
-            if any(theta.doubled)]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda job: _extend_cocycle(skel, *job), jobs))
-    else:
-        results = [_extend_cocycle(skel, doubled3, kernel)
-                   for doubled3, kernel in jobs]
-    for part, tested in results:
-        found.extend(part)
-        stats.nodes_visited += tested
+    for theta, kernel in zip(cert.colourings, cert.kernels):
+        if any(theta.doubled):
+            part, tested = _extend_cocycle(skel, theta.doubled, kernel)
+            found.extend(part)
+            stats.nodes_visited += tested
 
     # every doubled cocycle is admissible at level 4: triangle sums stay
     # even and at most 4, and a lone 2 would need an odd number of 1s
@@ -149,29 +141,14 @@ def adm4_structured(source, threads: int = 1):
     return found, stats
 
 
-def tv4_structured(source, q: int = 1, threads: int = 1) -> Cyc:
-    """Level-4 state sum over the structured enumeration.
+def tv4_structured(source, q: int = 1) -> Cyc:
+    """Level-4 state sum swept over the structured enumeration.
 
     Exactly equals tv(source, 4, q).
     """
     skel = _checked_skeleton(source)
-    colourings, _ = adm4_structured(skel, threads=threads)
-    weights = WeightSystem(skel, 4, q)
-    total = weights.ctx.zero
-    for col in colourings:
-        total = total + weights.colouring_weight(col)
-    return total
-
-
-def _tv3_by_cocycles(skel: Skeleton) -> Cyc:
-    """Level-3 state sum straight over the Z/2 cocycle span."""
-    basis = cocycle_space_1(skel)
-    weights = WeightSystem(skel, 3, 1)
-    total = weights.ctx.zero
-    for mask in basis.span():
-        doubled = tuple((mask >> j) & 1 for j in range(skel.e))
-        total = total + weights.colouring_weight(Colouring(doubled))
-    return total
+    colourings, _ = adm4_structured(skel)
+    return sweep_sum(skel, colourings, 4, q)
 
 
 def tv_odd_fast(source, r: int) -> Cyc:
@@ -180,8 +157,8 @@ def tv_odd_fast(source, r: int) -> Cyc:
     The state sum splits as the level-3 invariant times the sum over
     integer colourings (the trivial-class part), divided by the
     trivial-class part at level 3, which is the weight of the zero
-    colouring.  Only the even colours are enumerated at level r, at
-    most floor(r/2) per edge instead of r - 1.
+    colouring.  Only the even colours are summed at level r, at most
+    floor(r/2) per edge instead of r - 1.
     """
     if r < 3 or r % 2 == 0:
         raise ValueError("the fast algorithm needs an odd level r >= 3")
@@ -191,7 +168,7 @@ def tv_odd_fast(source, r: int) -> Cyc:
             "the fast algorithm needs a one-vertex triangulation; "
             "retriangulate or use the plain state sum")
 
-    level3 = _tv3_by_cocycles(skel)
+    level3 = _elimination_sum(skel, 3, 1)
     if r == 3:
         return level3
     assert level3.is_rational(), "level-3 weights are rational"
@@ -200,7 +177,7 @@ def tv_odd_fast(source, r: int) -> Cyc:
         Colouring((0,) * skel.e))
     scale = level3.as_rational() / zero_weight.as_rational()
 
-    integer_part, _ = state_sum(skel, r, 1, integer_only=True)
+    integer_part = _elimination_sum(skel, r, 1, integer_only=True)
     return integer_part * field_init(r, 1).from_rational(scale)
 
 

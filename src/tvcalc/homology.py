@@ -184,22 +184,37 @@ class CocycleBasis:
             rows.append((acc, combo, pivot))
         self._solve_rows = rows
 
-    def is_cocycle(self, mask: int) -> bool:
-        acc = mask
-        for rvec, _, pivot in self._solve_rows:
-            if (acc >> pivot) & 1:
-                acc ^= rvec
-        return acc == 0
+    def _eliminate(self, mask: int):
+        """(residue, combination) of mask against the reduced basis.
 
-    def coordinates(self, mask: int):
+        Both are linear in mask: the rows are triangular, so each row
+        test reads a bit that is itself linear in the input.
+        """
         acc, combo = mask, 0
         for rvec, rcombo, pivot in self._solve_rows:
             if (acc >> pivot) & 1:
                 acc ^= rvec
                 combo ^= rcombo
+        return acc, combo
+
+    def is_cocycle(self, mask: int) -> bool:
+        return self._eliminate(mask)[0] == 0
+
+    def coordinates(self, mask: int):
+        acc, combo = self._eliminate(mask)
         if acc:
             raise ValueError("not a cocycle")
         return tuple((combo >> i) & 1 for i in range(len(self.vectors)))
+
+    def class_bits(self, mask: int) -> int:
+        """Class coordinates of any edge mask packed into an int (bit k
+        for coordinate k).
+
+        Linear in mask, so the value of a colouring's reduction is the
+        XOR of the values of its single edges; on cocycles it agrees
+        with ``class_of``.
+        """
+        return self._eliminate(mask)[1] >> self.coboundary_dim
 
     def class_of(self, mask: int):
         coords = self.coordinates(mask)

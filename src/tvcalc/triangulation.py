@@ -22,6 +22,7 @@ __all__ = [
     "EDGE_VERTICES",
     "EDGE_INDEX",
     "FACE_EDGES",
+    "GluingError",
     "ParseError",
     "Triangulation",
     "Skeleton",
@@ -77,6 +78,14 @@ class ParseError(ValueError):
         self.line = line
 
 
+class GluingError(ValueError):
+    """A fault in the row of tetrahedron ``tet`` of a gluing table."""
+
+    def __init__(self, tet: int, message: str):
+        super().__init__(message)
+        self.tet = tet
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """An immutable gluing table.
@@ -90,25 +99,25 @@ class Triangulation:
     def __post_init__(self):
         for t, row in enumerate(self.gluings):
             if len(row) != 4:
-                raise ValueError(f"tetrahedron {t}: expected 4 faces")
+                raise GluingError(t, f"tetrahedron {t}: expected 4 faces")
             for f, g in enumerate(row):
                 if g is None:
                     continue
                 t2, p = g
                 if not (0 <= t2 < len(self.gluings)):
-                    raise ValueError(
-                        f"tetrahedron {t} face {f}: target {t2} out of range")
+                    raise GluingError(t, f"tetrahedron {t} face {f}: "
+                                         f"target {t2} out of range")
                 if sorted(p) != [0, 1, 2, 3]:
-                    raise ValueError(
-                        f"tetrahedron {t} face {f}: not a permutation")
+                    raise GluingError(t, f"tetrahedron {t} face {f}: "
+                                         "not a permutation")
                 f2 = p[f]
                 if t2 == t and f2 == f:
-                    raise ValueError(
-                        f"tetrahedron {t} face {f}: glued to itself")
+                    raise GluingError(t, f"tetrahedron {t} face {f}: "
+                                         "glued to itself")
                 back = self.gluings[t2][f2]
                 if back is None or back[0] != t or back[1] != perm_invert(p):
-                    raise ValueError(
-                        f"tetrahedron {t} face {f}: gluing not involutive")
+                    raise GluingError(t, f"tetrahedron {t} face {f}: "
+                                         "gluing not involutive")
 
     @property
     def n(self) -> int:
@@ -154,6 +163,7 @@ def parse_triangulation(text: str) -> Triangulation:
         raise ParseError(f"expected header 'tri 1', got {header!r}", number)
 
     rows = []
+    row_lines = []
     for expect, (number, line) in enumerate(lines[1:]):
         head, _, rest = line.partition(":")
         parts = head.split()
@@ -188,6 +198,7 @@ def parse_triangulation(text: str) -> Triangulation:
                 raise ParseError(f"not a permutation in {entry!r}", number)
             row.append((t2, p))
         rows.append(tuple(row))
+        row_lines.append(number)
 
     n = len(rows)
     for t, row in enumerate(rows):
@@ -195,11 +206,11 @@ def parse_triangulation(text: str) -> Triangulation:
             if g is not None and not (0 <= g[0] < n):
                 raise ParseError(
                     f"tetrahedron {t} face {f}: target {g[0]} out of range",
-                    1)
+                    row_lines[t])
     try:
         return Triangulation(tuple(rows))
-    except ValueError as exc:
-        raise ParseError(str(exc), 1)
+    except GluingError as exc:
+        raise ParseError(str(exc), row_lines[exc.tet])
 
 
 def serialise_triangulation(tri: Triangulation) -> str:

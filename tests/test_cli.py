@@ -23,6 +23,12 @@ OPEN_TRI = """tri 1
 tet 0: - - - -
 """
 
+# two copies of the one-vertex sphere, not glued to each other
+DISCONNECTED = """tri 1
+tet 0: 0:1023 0:1023 0:1230 0:3012
+tet 1: 1:1023 1:1023 1:1230 1:3012
+"""
+
 
 @pytest.fixture()
 def sphere_file(tmp_path):
@@ -49,9 +55,9 @@ def test_compute_human_output(sphere_file, capsys):
 
 def test_compute_json_deterministic(sphere_file, capsys):
     docs = []
-    for threads in ("1", "1", "3"):
+    for _ in range(3):
         assert main(["compute", "--file", sphere_file, "--r", "5",
-                     "--json", "--threads", threads]) == 0
+                     "--json"]) == 0
         docs.append(capsys.readouterr().out)
     assert docs[0] == docs[1] == docs[2]
     doc = json.loads(docs[0])
@@ -203,3 +209,37 @@ def test_compute_value_matches_library(lens_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     tri = parse_triangulation(LENS_LIKE)
     assert doc["exact"] == tv(tri, 5, 1).to_strings()
+
+
+def test_compute_digits_must_be_positive(sphere_file, capsys):
+    for digits in ("0", "-3"):
+        assert main(["compute", "--file", sphere_file, "--r", "5",
+                     "--digits", digits]) == 2
+        assert "--digits" in capsys.readouterr().err
+
+
+def test_disconnected_input_is_invalid(tmp_path, capsys):
+    path = str(tmp_path / "two.tri")
+    (tmp_path / "two.tri").write_text(DISCONNECTED)
+    cases = (
+        ["verify", "--file", path, "--r", "5"],
+        ["bounds", "--file", path, "--r", "4"],
+        ["compute", "--file", path, "--r", "4"],
+        ["compute", "--file", path, "--r", "5", "--class", "",
+         "--algorithm", "naive"],
+    )
+    for argv in cases:
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert "not connected" in err and "Traceback" not in err
+
+
+def test_gluing_errors_report_their_line(tmp_path, capsys):
+    path = tmp_path / "bad.tri"
+    for body, line in (
+            ("tet 0: 0:1023 0:1023 0:1230 7:3012\n", 4),      # out of range
+            ("tet 0: 0:1023 0:1023 0:1230 0:3012\n"
+             "tet 1: 0:1023 1:1023 1:1230 1:3012\n", 5)):     # not involutive
+        path.write_text("tri 1\n# comment\n\n" + body)
+        assert main(["compute", "--file", str(path), "--r", "4"]) == 3
+        assert f"line {line}:" in capsys.readouterr().err

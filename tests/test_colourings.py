@@ -17,6 +17,7 @@ from tvcalc import (
     field_init,
     numeric_eval,
     state_sum,
+    sweep_sum,
     tetrahedron_weight,
     tv,
     tv_at_class,
@@ -203,13 +204,16 @@ def test_weight_system_matches_colouring_weight(census1):
         assert ws.colouring_weight(col) == colouring_weight(skel, col, 5)
 
 
-def test_state_sum_thread_invariance(z2hs2):
+def test_state_sum_matches_sweep(z2hs2):
+    # the value comes from the elimination engine, the stats from the
+    # search; the sweep over the searched colourings must agree
     tri = z2hs2[0]
-    base, stats1 = state_sum(tri, 5, 1)
-    for threads in (2, 4):
-        value, stats = state_sum(tri, 5, 1, threads=threads)
-        assert value == base
-        assert stats.admissible_count == stats1.admissible_count
+    skel = build_skeleton(tri)
+    found, found_stats = enumerate_admissible(skel, 5)
+    for q in (1, 3):
+        value, stats = state_sum(tri, 5, q)
+        assert value == sweep_sum(skel, found, 5, q)
+        assert stats == found_stats
 
 
 def test_tv_rejects_open_triangulation():

@@ -11,6 +11,7 @@ from tvcalc import (
     cocycle_space_1,
     enumerate_admissible,
     state_sum,
+    sweep_sum,
     tv,
     tv4_structured,
     tv_odd_fast,
@@ -43,11 +44,11 @@ def test_adm4_matches_naive_enumeration(census1, census2):
         assert fast_stats.nodes_visited <= report.kernel_sum_bound
 
 
-def test_adm4_thread_invariance(census2):
+def test_adm4_sweep_matches_elimination(census2):
     skel = build_skeleton(census2[5])
-    single, _ = adm4_structured(skel, threads=1)
-    multi, _ = adm4_structured(skel, threads=3)
-    assert [c.doubled for c in single] == [c.doubled for c in multi]
+    structured, _ = adm4_structured(skel)
+    for q in (1, 3):
+        assert sweep_sum(skel, structured, 4, q) == tv(skel, 4, q)
 
 
 def test_tv4_structured_matches_plain_sum(census1, census2):
