@@ -2,11 +2,11 @@
 """Census survey of admissible-colouring counts against their bounds.
 
 For each tetrahedron count the script enumerates the one-vertex
-triangulations with trivial Z/2 homology, compares the level-5/6/7
-colouring counts with the 2^n + 1 and 3^n + 1 caps, and reports how many
-inputs attain every cap.  A second table covers the level-4 cocycle
-bounds on the full closed census.  Desk scale: n <= 3 finishes in under
-a minute.
+triangulations with trivial Z/2 homology, compares the colouring counts
+at each requested level with that level's cap (2^n + 1 at r = 5, 3^n + 1
+at r = 6, 7), and reports how many inputs attain every cap.  A second
+table covers the level-4 cocycle bounds on the full closed census.
+Desk scale: n <= 3 finishes in under a minute.
 """
 
 import argparse
@@ -33,8 +33,10 @@ class SurveyConfig:
     records: list = field(default_factory=list)
 
 
-def small_level_caps(n: int) -> tuple:
-    return (2 ** n + 1, 3 ** n + 1, 3 ** n + 1)
+def small_level_cap(n: int, r: int) -> int | None:
+    """The 2^n + 1 cap at r = 5, the 3^n + 1 cap at r = 6, 7, else None
+    (no cap, so never attained)."""
+    return {5: 2 ** n + 1, 6: 3 ** n + 1, 7: 3 ** n + 1}.get(r)
 
 
 def survey_small_levels(cfg: SurveyConfig) -> None:
@@ -55,7 +57,7 @@ def survey_small_levels(cfg: SurveyConfig) -> None:
                   for r in cfg.levels)
             for tri in corpus
         ]
-        caps = small_level_caps(n)
+        caps = tuple(small_level_cap(n, r) for r in cfg.levels)
         sharp = sum(1 for row in counts if row == caps)
         means = [statistics.mean(col) for col in zip(*counts)]
         print(f"{n:>2} {len(corpus):>6} "

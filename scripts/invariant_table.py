@@ -18,7 +18,6 @@ from tvcalc import (
     enumerate_census,
     numeric_eval,
     tv,
-    tv4_structured,
     tv_odd_fast,
 )
 from tvcalc.homology import h1_integral
@@ -33,12 +32,10 @@ class TableConfig:
     digits: int = 6
 
 
-def value(tri, skel, r: int, cfg: TableConfig):
-    if r == 4 and cfg.q in (1, 3, 5, 7):
-        return tv4_structured(tri, q=cfg.q)
+def value(skel, r: int, cfg: TableConfig):
     if r % 2 == 1 and cfg.q == 1 and skel.v == 1:
-        return tv_odd_fast(tri, r)
-    return tv(tri, r, cfg.q)
+        return tv_odd_fast(skel, r)
+    return tv(skel, r, cfg.q)
 
 
 def main(argv=None) -> int:
@@ -61,7 +58,7 @@ def main(argv=None) -> int:
             h1 = str(h1_integral(skel))
             cells = []
             for r in cfg.levels:
-                val = value(tri, skel, r, cfg)
+                val = value(skel, r, cfg)
                 approx = numeric_eval(val, cfg.digits + 5)
                 cells.append(
                     f"r={r}: {val} ~ {mpmath.nstr(approx.real, cfg.digits)}")

@@ -162,16 +162,15 @@ def _apply_gluing(state: _EdgeState, t, face, t2, p) -> bool:
 
 def enumerate_census(tets: int, one_vertex: bool = False,
                      z2_homology_sphere: bool = False,
-                     beta1: int | None = None,
                      limit: int | None = None):
     """Yield the closed-3-manifold census on exactly ``tets`` tetrahedra.
 
     Output is up to combinatorial isomorphism, each member given in its
     canonical labelling, in a deterministic discovery order.  Filters:
     ``one_vertex`` keeps single-vertex triangulations, ``z2_homology_sphere``
-    keeps those with trivial first Z/2 homology, ``beta1`` pins the first
-    Z/2 Betti number.  ``limit`` stops after that many results, which keeps
-    partial sweeps at the largest sizes affordable.
+    keeps those with trivial first Z/2 homology.  ``limit`` stops after
+    that many results, which keeps partial sweeps at the largest sizes
+    affordable.
     """
     if not (1 <= tets <= MAX_CENSUS_TETS):
         raise ValueError(
@@ -221,10 +220,7 @@ def enumerate_census(tets: int, one_vertex: bool = False,
         seen.add(key)
         if one_vertex and skel.v != 1:
             return None
-        b1 = betti_z2(skel, 1)
-        if z2_homology_sphere and b1 != 0:
-            return None
-        if beta1 is not None and b1 != beta1:
+        if z2_homology_sphere and betti_z2(skel, 1) != 0:
             return None
         emitted += 1
         return canonical_triangulation(tri)

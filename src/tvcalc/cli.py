@@ -18,7 +18,7 @@ from pathlib import Path
 
 import mpmath
 
-from .census import enumerate_census
+from .census import MAX_CENSUS_TETS, enumerate_census
 from .colourings import (
     _checked_skeleton,
     _elimination_sum,
@@ -55,7 +55,7 @@ def _load_skeleton(path: str):
     Skeleton or an exit code."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"tv: cannot read {path}: {exc}", file=sys.stderr)
         return INVALID_INPUT
     try:
@@ -245,6 +245,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_census(args) -> int:
     if args.tets < 1:
         return _fail_usage("--tets must be >= 1")
+    if args.tets > MAX_CENSUS_TETS:
+        return _fail_usage(f"--tets must be at most {MAX_CENSUS_TETS}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -7,11 +7,15 @@ condition, the triangle inequalities and the degree bound; the invariant
 is the exact cyclotomic sum of per-colouring weights, one factor per
 vertex, edge, triangle and tetrahedron class.
 
-Enumeration is a backtracking search over a fixed edge order chosen so
-triangles complete as early as possible.  ``EnumerationStats.nodes_visited``
-counts the fully assigned candidates built at the bottom of the search
-tree; pruned interior branches never build a candidate and are not
-counted.
+One backtracking walker, ``_backtrack``, fills given slots of a colour
+list in order and tests each triangle once its last slot has a colour.
+It is the search behind ``enumerate_admissible`` (all edges, in an order
+chosen so triangles complete as early as possible), behind each step of
+the elimination engine (a tetrahedron's new edges) and behind the
+level-4 cocycle walk of ``fastalgo``.  ``EnumerationStats.nodes_visited``
+counts the fully assigned candidates it builds: every value tried at the
+last slot, or 1 when there are no slots.  Pruned interior branches never
+build a candidate and are not counted.
 
 Every invariant value comes from one engine, ``_elimination_sum``:
 dynamic programming over tetrahedra that never lists whole colourings.
@@ -111,13 +115,71 @@ def admissible_colouring(skel: Skeleton, doubled, r: int) -> bool:
 # backtracking enumeration
 
 
+def _backtrack(r: int, domain, colours, slots, checks, stats=None):
+    """Every filling of ``colours`` at ``slots`` that passes ``checks``.
+
+    The slots are filled in order, each with the values of ``domain`` in
+    increasing order.  checks[k] lists the position triples decided once
+    the first k slots are filled (checks[0] reads fixed entries only);
+    each triple is tested with ``admissible_triple`` at that depth and a
+    failure prunes the branch.  Returns the surviving colourings as
+    tuples, in lexicographic order along the slots.  With ``stats``,
+    ``nodes_visited`` grows by every value tried at the last slot, or by
+    1 when there are no slots: the fully assigned candidates built.
+    """
+    colours = list(colours)
+    found = []
+    last = len(slots) - 1
+
+    def passes(k):
+        for a, b, c in checks[k]:
+            if not admissible_triple(r, colours[a], colours[b], colours[c]):
+                return False
+        return True
+
+    def walk(k):
+        if k > last:
+            found.append(tuple(colours))
+            return
+        if k == last and stats is not None:
+            stats.nodes_visited += len(domain)
+        slot = slots[k]
+        for value in domain:
+            colours[slot] = value
+            if passes(k + 1):
+                walk(k + 1)
+
+    if last < 0 and stats is not None:
+        stats.nodes_visited += 1
+    if passes(0):
+        walk(0)
+    return found
+
+
+def _domain(r: int, integer_only: bool) -> tuple:
+    """Doubled colours 0..r-2, or only the even ones (whole colours)."""
+    return tuple(range(0, r - 1, 2) if integer_only else range(r - 1))
+
+
+def _class_target(basis: CocycleBasis, class_coords) -> int:
+    """Class coordinates checked against ``basis`` and packed into an int
+    (bit k for coordinate k), as ``CocycleBasis.class_bits`` returns."""
+    coords = tuple(int(b) for b in class_coords)
+    if len(coords) != basis.beta1:
+        raise ValueError(
+            f"class has length {len(coords)}, expected {basis.beta1}")
+    if any(b not in (0, 1) for b in coords):
+        raise ValueError(f"class coordinates must be 0 or 1, got {coords}")
+    return sum(b << k for k, b in enumerate(coords))
+
+
 def _search_plan(skel: Skeleton):
-    """Static edge order plus the triangle checks that complete per level.
+    """Static edge order plus the triangle checks that complete per depth.
 
     Greedy order: always pick the edge class finishing the most triangles,
     ties broken by smallest class id.  Returns (order, checks) where
-    checks[k] lists (ea, eb, ec) triangle triples fully decided once the
-    first k+1 edges are assigned and not decided earlier.
+    checks[k] lists the (ea, eb, ec) triangle triples fully decided once
+    the first k edges are assigned and not decided earlier.
     """
     triangles = skel.triangle_edge_classes
     undecided = set(range(skel.e))
@@ -136,10 +198,10 @@ def _search_plan(skel: Skeleton):
         placed.add(best)
         undecided.discard(best)
 
-    checks = [[] for _ in order]
+    checks = [[] for _ in range(len(order) + 1)]
     level = {e: k for k, e in enumerate(order)}
     for tri in triangles:
-        checks[max(level[x] for x in tri)].append(tri)
+        checks[1 + max(level[x] for x in tri)].append(tri)
     return order, checks
 
 
@@ -148,7 +210,6 @@ def enumerate_admissible(
     r: int,
     integer_only: bool = False,
     class_coords=None,
-    basis: CocycleBasis | None = None,
 ):
     """All admissible colourings, in increasing colour order along the
     search plan, with search statistics.
@@ -162,52 +223,20 @@ def enumerate_admissible(
     if r < 3:
         raise ValueError(f"r must be at least 3, got {r}")
     skel = _as_skeleton(source)
+    target = None
     if class_coords is not None:
-        if basis is None:
-            basis = cocycle_space_1(skel)
-        class_coords = tuple(int(b) for b in class_coords)
-        if len(class_coords) != basis.beta1:
-            raise ValueError(
-                f"class has length {len(class_coords)}, "
-                f"expected {basis.beta1}")
+        basis = cocycle_space_1(skel)
+        target = _class_target(basis, class_coords)
 
     order, checks = _search_plan(skel)
-    e = skel.e
-    domain = tuple(range(0, r - 1, 2) if integer_only else range(r - 1))
     stats = EnumerationStats()
-    found = []
-    assigned = [0] * e
-
-    def triples_ok(level: int) -> bool:
-        for ea, eb, ec in checks[level]:
-            if not admissible_triple(
-                    r, assigned[ea], assigned[eb], assigned[ec]):
-                return False
-        return True
-
-    def visit(depth: int) -> None:
-        last = depth == e - 1
-        edge = order[depth]
-        for value in domain:
-            assigned[edge] = value
-            if last:
-                stats.nodes_visited += 1
-                if not triples_ok(depth):
-                    continue
-                doubled = tuple(assigned)
-                if class_coords is not None:
-                    if basis.class_of(reduce_colouring(doubled)) \
-                            != class_coords:
-                        continue
-                stats.admissible_count += 1
-                found.append(Colouring(doubled))
-            else:
-                if triples_ok(depth):
-                    visit(depth + 1)
-        assigned[edge] = 0
-
-    if e:
-        visit(0)
+    found = [
+        Colouring(doubled)
+        for doubled in _backtrack(r, _domain(r, integer_only),
+                                  [0] * skel.e, order, checks, stats)
+        if target is None
+        or basis.class_bits(reduce_colouring(doubled)) == target]
+    stats.admissible_count = len(found)
     return found, stats
 
 
@@ -498,34 +527,6 @@ def _picker(indices):
     return lambda key: ()
 
 
-def _extensions(r: int, domain, sig: tuple, n_new: int, checks):
-    """Local colourings sig + ext passing the new triangle checks.
-
-    checks[k] lists the slot triples decided once k new edges are
-    assigned; the search backtracks as enumerate_admissible does.
-    """
-    colours = list(sig) + [0] * n_new
-    base = len(sig)
-    found = []
-
-    def ok(k):
-        return all(admissible_triple(r, colours[a], colours[b], colours[c])
-                   for a, b, c in checks[k])
-
-    def walk(k):
-        if k == n_new:
-            found.append(tuple(colours))
-            return
-        for value in domain:
-            colours[base + k] = value
-            if ok(k + 1):
-                walk(k + 1)
-
-    if ok(0):
-        walk(0)
-    return found
-
-
 def _elimination_sum(skel: Skeleton, r: int, q: int,
                      integer_only: bool = False, class_coords=None) -> Cyc:
     """State sum by dynamic programming over tetrahedra.
@@ -546,18 +547,12 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
     ``integer_only`` and ``class_coords``.
     """
     ctx = field_init(r, q)
-    domain = tuple(range(0, r - 1, 2) if integer_only else range(r - 1))
+    domain = _domain(r, integer_only)
     edge_bits = [0] * skel.e
     target = 0
     if class_coords is not None:
         basis = cocycle_space_1(skel)
-        coords = tuple(int(b) for b in class_coords)
-        if len(coords) != basis.beta1:
-            raise ValueError(
-                f"class has length {len(coords)}, expected {basis.beta1}")
-        if any(b not in (0, 1) for b in coords):
-            raise ValueError(f"class coordinates must be 0 or 1, got {coords}")
-        target = sum(b << k for k, b in enumerate(coords))
+        target = _class_target(basis, class_coords)
         edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
 
     table = {(0,): ctx.one}     # key: active colours, then class bits
@@ -577,12 +572,14 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
             tri = tuple(tet_slots[k] for k in FACE_EDGES[face])
             checks[max(0, max(tri) - len(old) + 1)].append(tri)
         new_bits = [edge_bits[e] for e in new]
+        new_slots = range(len(old), len(old) + len(new))
 
         options = {}
 
         def factors(sig):
             out = []
-            for colours in _extensions(r, domain, sig, len(new), checks):
+            for colours in _backtrack(r, domain, sig + (0,) * len(new),
+                                      new_slots, checks):
                 weight = _local_factor(
                     ctx, tuple(colours[k] for k in tet_slots), new_edges,
                     faces)

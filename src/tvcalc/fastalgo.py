@@ -18,6 +18,7 @@ from .colourings import (
     Colouring,
     EnumerationStats,
     WeightSystem,
+    _backtrack,
     _checked_skeleton,
     _elimination_sum,
     enumerate_admissible,
@@ -66,50 +67,23 @@ def adm3_certificate(source) -> Adm3Certificate:
     return Adm3Certificate(tuple(colourings), tuple(kernels))
 
 
-def _extend_cocycle(skel: Skeleton, doubled3, kernel):
+def _extend_cocycle(skel: Skeleton, doubled3, kernel, stats):
     """All level-4 colourings reducing to the given nonzero cocycle.
 
     Zero-coloured edges may be raised to colour 2; edges coloured 1
     stay.  A triangle with two colour-1 edges allows anything on its
     third edge, so only triangles all of whose edges lie in the kernel
-    constrain the search: they must not carry exactly one or three 2s.
-    Returns (colourings, candidates tested at the deepest level).
+    constrain the search; on colours in {0, 2} level-4 admissibility
+    says they carry zero or two 2s.  The walk adds its candidates to
+    ``stats.nodes_visited``.
     """
-    if not kernel:
-        # nothing to choose; the doubled cocycle itself is the candidate
-        return [Colouring(doubled3)], 1
-
-    level_of = {c: k for k, c in enumerate(kernel)}
-    checks = [[] for _ in kernel]
+    level = {c: k for k, c in enumerate(kernel)}
+    checks = [[] for _ in range(len(kernel) + 1)]
     for tri in skel.triangle_edge_classes:
-        if all(doubled3[c] == 0 for c in tri):
-            checks[max(level_of[c] for c in tri)].append(tri)
-
-    def ok(values, tri):
-        twos = sum(1 for c in tri if values[c] == 2)
-        return twos == 0 or twos == 2
-
-    found = []
-    tested = 0
-    values = list(doubled3)
-    last = len(kernel) - 1
-
-    def walk(k):
-        nonlocal tested
-        c = kernel[k]
-        for colour in (0, 2):
-            values[c] = colour
-            if k == last:
-                tested += 1
-                if all(ok(values, tri) for tri in checks[k]):
-                    found.append(Colouring(tuple(values)))
-            else:
-                if all(ok(values, tri) for tri in checks[k]):
-                    walk(k + 1)
-        values[c] = 0
-
-    walk(0)
-    return found, tested
+        if all(c in level for c in tri):
+            checks[1 + max(level[c] for c in tri)].append(tri)
+    return [Colouring(doubled) for doubled in _backtrack(
+        4, (0, 2), doubled3, kernel, checks, stats)]
 
 
 def adm4_structured(source):
@@ -126,9 +100,7 @@ def adm4_structured(source):
 
     for theta, kernel in zip(cert.colourings, cert.kernels):
         if any(theta.doubled):
-            part, tested = _extend_cocycle(skel, theta.doubled, kernel)
-            found.extend(part)
-            stats.nodes_visited += tested
+            found.extend(_extend_cocycle(skel, theta.doubled, kernel, stats))
 
     # every doubled cocycle is admissible at level 4: triangle sums stay
     # even and at most 4, and a lone 2 would need an odd number of 1s

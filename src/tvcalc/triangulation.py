@@ -66,9 +66,6 @@ FACE_EDGES: tuple[tuple[int, int, int], ...] = tuple(
     tuple(k for k, (u, v) in enumerate(EDGE_VERTICES) if f not in (u, v))
     for f in range(4))
 
-# Opposite edge: the one sharing no vertex.
-OPPOSITE_EDGE: tuple[int, ...] = (5, 4, 3, 2, 1, 0)
-
 
 class ParseError(ValueError):
     """Raised for malformed gluing-table text; carries the line number."""

@@ -180,6 +180,16 @@ def test_census_deterministic(tmp_path, capsys):
         assert p1.read_text() == p2.read_text()
 
 
+def test_census_size_beyond_limit_is_usage_error(tmp_path, capsys):
+    from tvcalc.census import MAX_CENSUS_TETS
+    out = tmp_path / "census"
+    assert main(["census", "--tets", str(MAX_CENSUS_TETS + 1),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--tets" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_passes_on_good_input(lens_file, capsys):
     assert main(["verify", "--file", lens_file, "--r", "5"]) == 0
     out = capsys.readouterr().out
@@ -232,6 +242,16 @@ def test_disconnected_input_is_invalid(tmp_path, capsys):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
         assert "not connected" in err and "Traceback" not in err
+
+
+def test_undecodable_input_is_unreadable(tmp_path, capsys):
+    path = tmp_path / "binary.tri"
+    path.write_bytes(ONE_VERTEX_SPHERE.encode() + b"# \xff\n")
+    for argv in (["compute", "--r", "4"], ["enumerate", "--r", "4"],
+                 ["bounds", "--r", "4"], ["verify", "--r", "4"]):
+        assert main(argv + ["--file", str(path)]) == 3, argv
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "Traceback" not in err
 
 
 def test_gluing_errors_report_their_line(tmp_path, capsys):

@@ -22,8 +22,9 @@ from tvcalc import (
     tv,
     tv_at_class,
 )
-from tvcalc.colourings import WeightSystem, edge_weight, triangle_weight, \
-    vertex_weight
+from tvcalc.colourings import WeightSystem, _search_plan, edge_weight, \
+    triangle_weight, vertex_weight
+from tvcalc.fastalgo import adm4_structured
 from tvcalc.triangulation import make_triangulation
 
 
@@ -114,6 +115,65 @@ def test_class_filter_length_checked(census1):
 def test_small_r_rejected(census1):
     with pytest.raises(ValueError):
         enumerate_admissible(census1[0], 2)
+
+
+def _oracle_prefix_count(skel, r, fixed, prefix, domain):
+    """Assignments from domain to the edges in prefix (the other entries
+    as in fixed) under which every triangle whose edges all have colours
+    is admissible."""
+    coloured = set(prefix) | {j for j, a in enumerate(fixed) if a is not None}
+    covered = [tri for tri in skel.triangle_edge_classes
+               if all(x in coloured for x in tri)]
+    hits = 0
+    for values in product(domain, repeat=len(prefix)):
+        colours = list(fixed)
+        for j, a in zip(prefix, values):
+            colours[j] = a
+        if all(_oracle_triple(r, *(colours[x] for x in tri))
+               for tri in covered):
+            hits += 1
+    return hits
+
+
+def test_node_counts_match_prefix_oracle(census1, census2):
+    # the search tries every value at the last edge of each admissible
+    # assignment of the others, so nodes = |domain| x that count
+    for tri in census1 + census2:
+        skel = build_skeleton(tri)
+        order, _ = _search_plan(skel)
+        for r in range(3, 8):
+            for integer_only in (False, True):
+                domain = range(0, r - 1, 2) if integer_only \
+                    else range(r - 1)
+                _, stats = enumerate_admissible(
+                    skel, r, integer_only=integer_only)
+                want = len(domain) * _oracle_prefix_count(
+                    skel, r, [None] * skel.e, order[:-1], domain)
+                assert stats.nodes_visited == want, (tri, r, integer_only)
+
+
+def test_level4_node_counts_match_prefix_oracle(census1, census2):
+    # per nonzero cocycle: two values at the last kernel edge of each
+    # admissible assignment of the earlier ones (1 for an empty kernel),
+    # plus one node per doubled cocycle
+    for tri in census1 + census2:
+        skel = build_skeleton(tri)
+        cocycles = [cand for cand in product((0, 1), repeat=skel.e)
+                    if all(_oracle_triple(3, *(cand[x] for x in t))
+                           for t in skel.triangle_edge_classes)]
+        want = len(cocycles)
+        for theta in cocycles:
+            if not any(theta):
+                continue
+            kernel = [j for j, a in enumerate(theta) if a == 0]
+            if not kernel:
+                want += 1
+                continue
+            fixed = [None if a == 0 else a for a in theta]
+            want += 2 * _oracle_prefix_count(
+                skel, 4, fixed, kernel[:-1], (0, 2))
+        _, stats = adm4_structured(skel)
+        assert stats.nodes_visited == want, tri
 
 
 def test_integer_only_never_visits_more_nodes(one_vertex_corpus):

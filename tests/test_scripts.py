@@ -1,0 +1,36 @@
+"""Smoke tests of the table scripts on the one-tetrahedron census."""
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bounds_table_takes_caps_per_level(tmp_path, capsys):
+    dump = tmp_path / "records.json"
+    assert _load("bounds_table").main(
+        ["--max-tets", "1", "--levels", "5", "7", "--json", str(dump)]) == 0
+    capsys.readouterr()
+    records = json.loads(dump.read_text())
+    small = [rec for rec in records if rec["table"] == "small_levels"]
+    # n = 1: caps 2^1 + 1 at r = 5 and 3^1 + 1 at r = 7; the one-vertex
+    # 3-sphere has counts (3, 4) and attains both
+    assert [(rec["caps"], rec["sharp"]) for rec in small] == [([3, 4], 1)]
+    assert len([rec for rec in records if rec["table"] == "level4"]) == 4
+
+
+def test_invariant_table_rows(capsys):
+    assert _load("invariant_table").main(
+        ["--max-tets", "1", "--levels", "3", "4", "5", "6"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4
+    # the 3-sphere on two vertices, then on one
+    assert rows[0].startswith("n=1 #000 v=2 H1=0 ")
+    assert "r=4: 1/4 ~ 0.25" in rows[1]

@@ -14,7 +14,6 @@ from tvcalc.triangulation import (
     ALL_PERMS,
     EDGE_INDEX,
     EDGE_VERTICES,
-    OPPOSITE_EDGE,
     ParseError,
     make_triangulation,
     perm_compose,
@@ -76,9 +75,10 @@ def test_edge_tables_are_consistent():
     assert len(EDGE_VERTICES) == 6
     for k, (u, v) in enumerate(EDGE_VERTICES):
         assert EDGE_INDEX[(u, v)] == k
-        # opposite edge shares no vertex
-        ou, ov = EDGE_VERTICES[OPPOSITE_EDGE[k]]
-        assert {u, v}.isdisjoint({ou, ov})
+        # the opposite edge, the only one sharing no vertex, is 5 - k
+        disjoint = [j for j, pair in enumerate(EDGE_VERTICES)
+                    if {u, v}.isdisjoint(pair)]
+        assert disjoint == [5 - k]
 
 
 def test_skeleton_counts_closed(census1, census2):
