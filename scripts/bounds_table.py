@@ -21,6 +21,7 @@ from tvcalc import (
     enumerate_admissible,
     enumerate_census,
 )
+from tvcalc.census import MAX_CENSUS_TETS
 
 
 @dataclass
@@ -102,6 +103,8 @@ def main(argv=None) -> int:
     ap.add_argument("--json", dest="json_path", default=None,
                     help="also dump every record to this file")
     args = ap.parse_args(argv)
+    if args.max_tets > MAX_CENSUS_TETS:
+        ap.error(f"--max-tets must be at most {MAX_CENSUS_TETS}")
 
     cfg = SurveyConfig(max_tets=args.max_tets, levels=tuple(args.levels),
                        json_path=args.json_path, rows=args.rows,

@@ -16,10 +16,12 @@ import mpmath
 from tvcalc import (
     build_skeleton,
     enumerate_census,
+    field_init,
     numeric_eval,
     tv,
     tv_odd_fast,
 )
+from tvcalc.census import MAX_CENSUS_TETS
 from tvcalc.homology import h1_integral
 
 
@@ -47,6 +49,13 @@ def main(argv=None) -> int:
     ap.add_argument("--digits", type=int, default=6,
                     help="decimal digits shown next to each exact value")
     args = ap.parse_args(argv)
+    if args.max_tets > MAX_CENSUS_TETS:
+        ap.error(f"--max-tets must be at most {MAX_CENSUS_TETS}")
+    for r in args.levels:
+        try:
+            field_init(r, args.q)
+        except ValueError as exc:
+            ap.error(str(exc))
     cfg = TableConfig(max_tets=args.max_tets, levels=tuple(args.levels),
                       q=args.q, one_vertex=args.one_vertex,
                       digits=args.digits)

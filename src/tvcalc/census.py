@@ -86,16 +86,15 @@ def canonical_form(tri: Triangulation):
 
 def canonical_triangulation(tri: Triangulation) -> Triangulation:
     """Rebuild the triangulation from its canonical form."""
-    sig = canonical_form(tri)
-    n = tri.n
-    glu = []
-    for t in range(n):
-        row = []
-        for f in range(4):
-            t2, pidx = sig[4 * t + f]
-            row.append(None if t2 < 0 else (t2, ALL_PERMS[pidx]))
-        glu.append(row)
-    return make_triangulation(glu)
+    return _from_form(canonical_form(tri))
+
+
+def _from_form(sig) -> Triangulation:
+    """The gluing table a canonical form describes."""
+    return make_triangulation(
+        [[None if t2 < 0 else (t2, ALL_PERMS[pidx])
+          for t2, pidx in sig[4 * t:4 * t + 4]]
+         for t in range(len(sig) // 4)])
 
 
 # Permutations gluing face f onto face f2: the three vertices of face f in
@@ -209,10 +208,7 @@ def enumerate_census(tets: int, one_vertex: bool = False,
     def emit(tri):
         nonlocal emitted
         skel = build_skeleton(tri)
-        if not skel.valid_edges:
-            return None
-        report = validate_closed_3manifold(skel)
-        if not report.is_closed_3manifold:
+        if not validate_closed_3manifold(skel).is_closed_3manifold:
             return None
         key = canonical_form(tri)
         if key in seen:
@@ -223,7 +219,7 @@ def enumerate_census(tets: int, one_vertex: bool = False,
         if z2_homology_sphere and betti_z2(skel, 1) != 0:
             return None
         emitted += 1
-        return canonical_triangulation(tri)
+        return _from_form(key)
 
     def search(state, used):
         nonlocal emitted

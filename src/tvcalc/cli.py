@@ -258,7 +258,11 @@ def _cmd_census(args) -> int:
             args.tets, one_vertex=args.one_vertex,
             z2_homology_sphere=args.z2hs)):
         path = out / f"census_t{args.tets}_{index:04d}.tri"
-        path.write_text(serialise_triangulation(tri))
+        try:
+            path.write_text(serialise_triangulation(tri))
+        except OSError as exc:
+            print(f"tv: cannot write {path}: {exc}", file=sys.stderr)
+            return INVALID_INPUT
         print(path)
         count += 1
     print(f"wrote {count} file(s) to {out}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .triangulation import EDGE_INDEX, EDGE_VERTICES, FACE_EDGES, Skeleton
+from .triangulation import EDGE_INDEX, Skeleton
 
 __all__ = [
     "GF2Matrix",
@@ -43,9 +43,6 @@ class GF2Matrix:
 
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def column_weight(self, j: int) -> int:
-        return sum((row >> j) & 1 for row in self.rows)
 
     def rank(self) -> int:
         return len(_echelon(self.rows.copy(), self.ncols)[0])
@@ -95,15 +92,6 @@ def _echelon(rows: list, ncols: int):
 # boundary matrices
 
 
-def _edge_rep_local(skel: Skeleton):
-    """First local edge of each edge class, scanning in index order."""
-    reps = [-1] * skel.e
-    for local, c in enumerate(skel.edge_class):
-        if reps[c] < 0:
-            reps[c] = local
-    return reps
-
-
 def _triangle_rep_local(skel: Skeleton):
     reps = [-1] * skel.f
     for local, c in enumerate(skel.triangle_class):
@@ -116,18 +104,15 @@ def boundary_matrix_z2(skel: Skeleton, p: int) -> GF2Matrix:
     """The GF(2) boundary map from p-chains to (p-1)-chains."""
     if p == 1:
         m = GF2Matrix.zero(skel.v, skel.e)
-        for c, local in enumerate(_edge_rep_local(skel)):
-            t, k = divmod(local, 6)
-            u, w = EDGE_VERTICES[k]
-            m.flip(skel.vertex_class[4 * t + u], c)
-            m.flip(skel.vertex_class[4 * t + w], c)
+        for c, (tail, head) in enumerate(skel.edge_endpoints):
+            m.flip(tail, c)
+            m.flip(head, c)
         return m
     if p == 2:
         m = GF2Matrix.zero(skel.e, skel.f)
-        for c, local in enumerate(_triangle_rep_local(skel)):
-            t, face = divmod(local, 4)
-            for k in FACE_EDGES[face]:
-                m.flip(skel.edge_class[6 * t + k], c)
+        for c, edges in enumerate(skel.triangle_edge_classes):
+            for j in edges:
+                m.flip(j, c)
         return m
     if p == 3:
         m = GF2Matrix.zero(skel.f, skel.n)
@@ -242,25 +227,17 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
     """
     if betti_z2(skel, 0) != 1:
         raise ValueError("skeleton is not connected")
-    d1 = boundary_matrix_z2(skel, 1)
-    d2 = boundary_matrix_z2(skel, 2)
-    # delta^2 is the transpose of d2: rows = triangles, cols = edges.
-    delta2 = GF2Matrix.zero(skel.f, skel.e)
-    for c in range(skel.f):
-        for j in range(skel.e):
-            if d2.get(j, c):
-                delta2.flip(c, j)
+    # delta^2 is the transpose of d2: one row per triangle class, its
+    # three edge classes counted mod 2.
+    delta2 = GF2Matrix(skel.f, skel.e, [
+        (1 << a) ^ (1 << b) ^ (1 << c)
+        for a, b, c in skel.triangle_edge_classes])
     kernel = delta2.kernel_basis()
 
-    # Coboundaries of single vertex classes; any v-1 of them are a basis
-    # of the coboundary subspace (the full sum is zero on a closed complex).
-    cob = []
-    for vert in range(skel.v - 1):
-        mask = 0
-        for j in range(skel.e):
-            if d1.get(vert, j):
-                mask |= 1 << j
-        cob.append(mask)
+    # Coboundaries of single vertex classes, the rows of d1; any v-1 of
+    # them are a basis of the coboundary subspace (the full sum is zero on
+    # a closed complex).
+    cob = boundary_matrix_z2(skel, 1).rows[:skel.v - 1]
 
     beta1 = betti_z2(skel, 1)
     vectors = list(cob)

@@ -301,11 +301,12 @@ class Skeleton:
     edge_class: tuple        # 6n entries, index 6t+e
     edge_sign: tuple         # +1/-1 vs the class orientation (valid edges)
     triangle_class: tuple    # 4n entries, index 4t+f
-    end_class: tuple         # 12n entries, index 2(6t+e)+side
     v: int
     e: int
     f: int
-    valid_edges: bool
+    # Edge classes glued to themselves in reverse, ascending.  Such a class
+    # has one edge end (tail = head below); every other class has two.
+    reversed_edges: tuple
     tet_edge_classes: tuple        # per tet, classes of edges 01,02,03,12,13,23
     triangle_edge_classes: tuple   # per triangle class, its 3 edge classes
     edge_endpoints: tuple          # per edge class, (tail, head) vertex classes
@@ -314,13 +315,16 @@ class Skeleton:
     def n(self) -> int:
         return self.triangulation.n
 
+    @property
+    def valid_edges(self) -> bool:
+        return not self.reversed_edges
+
 
 def build_skeleton(tri: Triangulation) -> Skeleton:
     n = tri.n
     vertices = _UnionFind(4 * n)
     edges = _UnionFind(6 * n, track_parity=True)
     triangles = _UnionFind(4 * n)
-    ends = _UnionFind(12 * n)
 
     for t, row in enumerate(tri.gluings):
         for face, g in enumerate(row):
@@ -337,17 +341,14 @@ def build_skeleton(tri: Triangulation) -> Skeleton:
                 k2 = EDGE_INDEX[(iu, iv)]
                 flipped = 1 if iu > iv else 0
                 edges.union(6 * t + k, 6 * t2 + k2, flipped)
-                lo, hi = EDGE_VERTICES[k2]
-                side_u = 0 if iu == lo else 1
-                ends.union(2 * (6 * t + k) + 0, 2 * (6 * t2 + k2) + side_u)
-                ends.union(2 * (6 * t + k) + 1, 2 * (6 * t2 + k2) + (1 - side_u))
 
     vclass, v = vertices.classes()
     eclass, e = edges.classes()
     fclass, f = triangles.classes()
-    endclass, _ = ends.classes()
 
-    valid = not any(edges.conflict[edges.find(x)] for x in range(6 * n))
+    reversed_edges = tuple(sorted(
+        eclass[x] for x in range(6 * n)
+        if edges.parent[x] == x and edges.conflict[x]))
     esign = tuple(-1 if edges.parity_to_root(x) else 1 for x in range(6 * n))
 
     tet_edges = tuple(
@@ -379,9 +380,8 @@ def build_skeleton(tri: Triangulation) -> Skeleton:
         edge_class=tuple(eclass),
         edge_sign=esign,
         triangle_class=tuple(fclass),
-        end_class=tuple(endclass),
         v=v, e=e, f=f,
-        valid_edges=valid,
+        reversed_edges=reversed_edges,
         tet_edge_classes=tet_edges,
         triangle_edge_classes=tuple(tri_edges),
         edge_endpoints=tuple(endpoints),
@@ -406,54 +406,33 @@ class ValidityReport:
 
 
 def _vertex_link_data(skel: Skeleton):
-    """Per vertex class: (faces, edges, vertices, connected) of its link.
+    """Per vertex class: (faces, edges, vertices, unglued sides) of its link.
 
-    The link of a vertex class is a surface built from one corner triangle
-    per incident tetrahedron corner.  Corner-triangle edges sit inside
-    tetrahedron faces and are matched by the face gluings; corner-triangle
-    vertices sit on tetrahedron edges and correspond to edge-end classes.
+    The link of a vertex class is a surface with one corner triangle per
+    tetrahedron corner in the class.  A corner triangle has three sides,
+    one in each tetrahedron face at the corner; the face gluings pair up
+    the glued sides, so the link has (3 faces - unglued sides) / 2 edges.
+    Its vertices are the edge ends at the class: two per edge class, one
+    per reversed edge class, whose ends are identified.  The link is
+    connected: its corners are joined across exactly the face gluings
+    that define the vertex class.
     """
-    tri = skel.triangulation
-    n = tri.n
-    counts = []
-    for target in range(skel.v):
-        faces = 0
-        corner_edges = 0       # (face, corner) incidences, glued in pairs
-        unglued = 0
-        corner_uf: dict[tuple[int, int], int] = {}
-        corners = []
-        for t in range(n):
-            for u in range(4):
-                if skel.vertex_class[4 * t + u] == target:
-                    corner_uf[(t, u)] = len(corners)
-                    corners.append((t, u))
-        faces = len(corners)
-        link_uf = _UnionFind(max(faces, 1))
-        for t, u in corners:
-            for face in range(4):
-                if face == u:
-                    continue
-                g = tri.gluings[t][face]
-                if g is None:
-                    unglued += 1
-                    continue
-                corner_edges += 1
-                t2, p = g
-                link_uf.union(corner_uf[(t, u)], corner_uf[(t2, p[u])])
-        # Link vertices: edge-end classes whose endpoint lies in this class.
-        end_seen = set()
-        for t in range(n):
-            for k in range(6):
-                u, w = EDGE_VERTICES[k]
-                for side, vert in ((0, u), (1, w)):
-                    if skel.vertex_class[4 * t + vert] == target:
-                        end_seen.add(skel.end_class[2 * (6 * t + k) + side])
-        link_vertices = len(end_seen)
-        link_edges = corner_edges // 2
-        _, components = link_uf.classes() if faces else ([], 0)
-        counts.append((faces, link_edges, link_vertices,
-                       components, unglued))
-    return counts
+    faces = [0] * skel.v
+    unglued = [0] * skel.v
+    verts = [0] * skel.v
+    for vc in skel.vertex_class:
+        faces[vc] += 1
+    for t, face in skel.triangulation.unglued_faces():
+        for u in range(4):
+            if u != face:
+                unglued[skel.vertex_class[4 * t + u]] += 1
+    reversed_edges = set(skel.reversed_edges)
+    for c, (tail, head) in enumerate(skel.edge_endpoints):
+        verts[tail] += 1
+        if c not in reversed_edges:
+            verts[head] += 1
+    return [(faces[vc], (3 * faces[vc] - unglued[vc]) // 2, verts[vc],
+             unglued[vc]) for vc in range(skel.v)]
 
 
 def validate_closed_3manifold(skel: Skeleton) -> ValidityReport:
@@ -469,18 +448,18 @@ def validate_closed_3manifold(skel: Skeleton) -> ValidityReport:
         messages.append("an edge is identified with itself in reverse")
 
     links_ok = True
-    for vc, (faces, edges, verts, components, unglued) in enumerate(
+    for vc, (faces, edges, verts, unglued) in enumerate(
             _vertex_link_data(skel)):
         if unglued:
             links_ok = False
             messages.append(f"vertex {vc}: link has boundary")
             continue
         euler = verts - edges + faces
-        if components != 1 or euler != 2:
+        if euler != 2:
             links_ok = False
             messages.append(
                 f"vertex {vc}: link has euler characteristic {euler} "
-                f"in {components} component(s)")
+                "in 1 component(s)")
     return ValidityReport(closed, valid_edges, links_ok, tuple(messages))
 
 

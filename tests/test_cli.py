@@ -190,6 +190,16 @@ def test_census_size_beyond_limit_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_census_unwritable_member_is_reported(tmp_path, capsys):
+    out = tmp_path / "census"
+    blocked = out / "census_t1_0000.tri"
+    blocked.mkdir(parents=True)
+    assert main(["census", "--tets", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"tv: cannot write {blocked}: ")
+    assert "Traceback" not in err
+
+
 def test_verify_passes_on_good_input(lens_file, capsys):
     assert main(["verify", "--file", lens_file, "--r", "5"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from tvcalc.census import MAX_CENSUS_TETS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -34,3 +38,18 @@ def test_invariant_table_rows(capsys):
     # the 3-sphere on two vertices, then on one
     assert rows[0].startswith("n=1 #000 v=2 H1=0 ")
     assert "r=4: 1/4 ~ 0.25" in rows[1]
+
+
+@pytest.mark.parametrize("name, argv, needle", [
+    ("bounds_table", ["--max-tets", str(MAX_CENSUS_TETS + 1)], "--max-tets"),
+    ("invariant_table", ["--max-tets", str(MAX_CENSUS_TETS + 1)],
+     "--max-tets"),
+    ("invariant_table", ["--q", "2", "--levels", "4"], "coprime"),
+])
+def test_scripts_reject_bad_arguments_up_front(name, argv, needle, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load(name).main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +113,84 @@ def test_validate_accepts_census(census1, census2):
     for tri in census1 + census2:
         report = validate_closed_3manifold(build_skeleton(tri))
         assert report.is_closed_3manifold, report.messages
+
+
+def _glue(n, pairs):
+    """The gluing table of ((t, f), (t2, f2), p) face pairs."""
+    glu = [[None] * 4 for _ in range(n)]
+    for (t, f), (t2, f2), p in pairs:
+        glu[t][f] = (t2, p)
+        glu[t2][f2] = (t, perm_invert(p))
+    return make_triangulation(glu)
+
+
+def _closed_one_tet_tables():
+    """All 108 closed one-tetrahedron tables: 3 face pairings, 6 x 6 maps."""
+    return [_glue(1, [((0, a), (0, b), p), ((0, c), (0, d), q)])
+            for (a, b), (c, d) in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
+                                   ((0, 3), (1, 2)))
+            for p in ALL_PERMS if p[a] == b
+            for q in ALL_PERMS if q[c] == d]
+
+
+def _seeded_closed_tables(n, count, seed):
+    """Random closed tables: a random face pairing, a random map per pair."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        faces = [(t, f) for t in range(n) for f in range(4)]
+        rng.shuffle(faces)
+        tables.append(_glue(n, [
+            (a, b, rng.choice([p for p in ALL_PERMS if p[a[1]] == b[1]]))
+            for a, b in zip(faces[::2], faces[1::2])]))
+    return tables
+
+
+def test_validate_closed_one_tetrahedron_tables():
+    tables = _closed_one_tet_tables()
+    assert len(set(tables)) == 108
+    reports = [validate_closed_3manifold(build_skeleton(tri))
+               for tri in tables]
+    assert all(report.closed for report in reports)
+    counts = Counter((report.valid_edges, report.vertex_links_are_spheres)
+                     for report in reports)
+    assert counts == {(True, True): 27, (False, False): 66,
+                      (False, True): 3, (True, False): 12}
+
+
+def test_sphere_links_match_euler_characteristic():
+    # On a closed table with valid edges, chi = v - e + f - n = v - e + n
+    # (f = 2n) is the sum over vertices of 1 - chi(link)/2, and every link
+    # that is not a sphere adds at least 1/2: links are spheres iff chi = 0.
+    checked = Counter()
+    for tri in _closed_one_tet_tables() + _seeded_closed_tables(2, 2000, 5):
+        skel = build_skeleton(tri)
+        report = validate_closed_3manifold(skel)
+        if not report.valid_edges:
+            continue
+        spheres = skel.v - skel.e + tri.n == 0
+        assert report.vertex_links_are_spheres == spheres, \
+            serialise_triangulation(tri)
+        checked[tri.n, spheres] += 1
+    assert min(checked.values()) >= 10 and len(checked) == 4
+
+
+@pytest.mark.parametrize("text, messages", [
+    # one vertex whose link is a torus or Klein bottle
+    ("tri 1\ntet 0: 0:1203 0:2013 0:0231 0:0312\n",
+     ("vertex 0: link has euler characteristic 0 in 1 component(s)",)),
+    # two vertices, each with a projective plane as its link
+    ("tri 1\ntet 0: 0:2103 1:0321 0:2103 1:1320\n"
+     "tet 1: 0:3021 1:1203 1:2013 0:0321\n",
+     ("vertex 0: link has euler characteristic 1 in 1 component(s)",
+      "vertex 1: link has euler characteristic 1 in 1 component(s)")),
+])
+def test_validate_bad_link_messages(text, messages):
+    report = validate_closed_3manifold(
+        build_skeleton(parse_triangulation(text)))
+    assert (report.closed, report.valid_edges,
+            report.vertex_links_are_spheres) == (True, True, False)
+    assert report.messages == messages
 
 
 def _internal_triangle(tri):
