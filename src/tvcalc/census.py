@@ -210,14 +210,15 @@ def enumerate_census(tets: int, one_vertex: bool = False,
         skel = build_skeleton(tri)
         if not validate_closed_3manifold(skel).is_closed_3manifold:
             return None
-        key = canonical_form(tri)
-        if key in seen:
-            return None
-        seen.add(key)
+        # both filters test isomorphism invariants, so they may run first
         if one_vertex and skel.v != 1:
             return None
         if z2_homology_sphere and betti_z2(skel, 1) != 0:
             return None
+        key = canonical_form(tri)
+        if key in seen:
+            return None
+        seen.add(key)
         emitted += 1
         return _from_form(key)
 

@@ -7,6 +7,13 @@ single field serves every exponent convention; complex conjugation is the
 substitution x -> x^{2r-1}.  Equality of invariants is always decided on
 these exact representations; floating point only ever appears in the
 display helper ``numeric_eval``.
+
+Quantum integers and, at k coprime to r, their inverses are geometric sums
+of powers of zeta, so they are read off the table of reduced powers of x
+with no division.  A product folds x^r = -1 before it reduces by
+Phi_{2r}, which divides x^r + 1.  The extended Euclidean algorithm in
+``Cyc.invert`` runs only for [k] with gcd(k, r) > 1 and for division or
+negative powers by field elements.
 """
 from __future__ import annotations
 
@@ -66,9 +73,10 @@ def cyclotomic_polynomial(n: int) -> tuple:
 class FieldContext:
     """The field Q(zeta_{2r}) with zeta realised as x^q.
 
-    Requires gcd(r, q) = 1 and 0 < q < 2r, which keeps zeta - zeta^{-1}
-    invertible.  Instances cache the reduced powers of x, quantum integers
-    and bracket factorials they hand out; get one via ``field_init``.
+    Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
+    root of unity.  Instances cache the reduced powers of x, quantum
+    integers, their inverses and bracket factorials they hand out; get one
+    via ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -99,13 +107,9 @@ class FieldContext:
         self.zeta = Cyc(self, self._xpow[q % (2 * r)], 1)
 
         self._qint: dict[int, Cyc] = {}
+        self._inv_qint: dict[int, Cyc] = {}
         self._fact: list = [self.one]
-        self._inv_fact: dict[int, Cyc] = {}
-        d = self.zeta_power(1) - self.zeta_power(-1)
-        if not d.is_zero():
-            self._inv_zeta_diff = d.invert()
-        else:   # cannot happen for r >= 3 with gcd(r, q) = 1
-            raise ValueError("zeta - 1/zeta is not invertible")
+        self._inv_fact: list = [self.one]
 
     def _reduce_shift(self, coeffs: list) -> list:
         """Multiply by x and reduce modulo the (monic) minimal polynomial."""
@@ -140,20 +144,51 @@ class FieldContext:
         """zeta^k for any integer k, via the cached power table."""
         return Cyc(self, self._xpow[(self.q * k) % self.order], 1)
 
+    def _zeta_power_sum(self, start: int, step: int, count: int) -> "Cyc":
+        """zeta^start + zeta^(start+step) + ... (count terms), no division."""
+        acc = [0] * self.degree
+        for j in range(count):
+            row = self._xpow[(self.q * (start + step * j)) % self.order]
+            for i, c in enumerate(row):
+                if c:
+                    acc[i] += c
+        return Cyc(self, tuple(acc), 1, _normalised=True)
+
     # -- quantum integers and bracket factorials ---------------------------
 
     def quantum_integer(self, i: int) -> "Cyc":
         """[i] = (zeta^i - zeta^-i) / (zeta - zeta^-1) for i > 0; [0] is 1
-        by convention so factorials stay nonzero below [r], and [r] = 0."""
+        by convention so factorials stay nonzero below [r], and [r] = 0.
+
+        Computed as the geometric sum zeta^(1-i) * sum_{j<i} zeta^(2j).
+        """
         if i < 0:
             raise ValueError("quantum integers need i >= 0")
         if i == 0:
             return self.one
         got = self._qint.get(i)
         if got is None:
-            num = self.zeta_power(i) - self.zeta_power(-i)
-            got = num * self._inv_zeta_diff
+            got = self._zeta_power_sum(1 - i, 2, i)
             self._qint[i] = got
+        return got
+
+    def inverse_quantum_integer(self, k: int) -> "Cyc":
+        """1 / [k], defined for 0 < k < r.
+
+        For gcd(k, r) = 1 and m = k^-1 mod r, (zeta^2k)^m = zeta^2, so
+        zeta^2k - 1 divides zeta^2 - 1 and
+        1/[k] = zeta^(k-1) * sum_{j<m} zeta^(2kj).  Otherwise (composite r
+        only) [k] is inverted by ``Cyc.invert``.
+        """
+        if not (0 < k < self.r):
+            raise ValueError(f"1/[k] needs 0 < k < r, got k = {k}")
+        got = self._inv_qint.get(k)
+        if got is None:
+            if math.gcd(k, self.r) == 1:
+                got = self._zeta_power_sum(k - 1, 2 * k, pow(k, -1, self.r))
+            else:
+                got = self.quantum_integer(k).invert()
+            self._inv_qint[k] = got
         return got
 
     def bracket_factorial(self, i: int) -> "Cyc":
@@ -169,11 +204,11 @@ class FieldContext:
         """1 / [i]!, defined for 0 <= i < r."""
         if not (0 <= i < self.r):
             raise ValueError(f"[{i}]! is zero or undefined, cannot invert")
-        got = self._inv_fact.get(i)
-        if got is None:
-            got = self.bracket_factorial(i).invert()
-            self._inv_fact[i] = got
-        return got
+        while len(self._inv_fact) <= i:
+            k = len(self._inv_fact)
+            self._inv_fact.append(self._inv_fact[-1]
+                                  * self.inverse_quantum_integer(k))
+        return self._inv_fact[i]
 
 
 @lru_cache(maxsize=None)
@@ -273,6 +308,12 @@ class Cyc:
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
+        # x^r = -1 because Phi_2r divides x^r + 1: fold, then reduce the
+        # rest (nothing at r = 2^k, one step at prime r)
+        r = self.ctx.r
+        for k in range(r, len(conv)):
+            conv[k - r] -= conv[k]
+        del conv[r:]
         mod = self.ctx.modulus
         for k in range(len(conv) - 1, deg - 1, -1):
             c = conv[k]
@@ -287,7 +328,7 @@ class Cyc:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_rational(other)
+            return self * (1 / Fraction(other))
         return self * other.invert()
 
     def __pow__(self, k: int):

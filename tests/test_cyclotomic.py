@@ -6,10 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcalc import field_init, numeric_eval
-from tvcalc.cyclotomic import Cyc, bracket_factorial, cyclotomic_polynomial, \
-    quantum_integer
+from tvcalc.cyclotomic import Cyc, FieldContext, bracket_factorial, \
+    cyclotomic_polynomial, quantum_integer
 
-LEVELS = [(3, 1), (4, 1), (5, 1), (5, 3), (7, 2), (8, 3), (9, 5)]
+LEVELS = [(3, 1), (4, 1), (5, 1), (5, 3), (7, 2), (8, 3), (9, 5), (12, 5),
+          (16, 3)]
+
+
+def _levels(bound, every_q_upto):
+    """(r, q) for 3 <= r <= bound: every valid q up to ``every_q_upto``,
+    above it only q = 1 and its conjugate 2r - 1."""
+    for r in range(3, bound + 1):
+        if r > every_q_upto:
+            qs = (1, 2 * r - 1)
+        else:
+            qs = [q for q in range(1, 2 * r) if math.gcd(r, q) == 1]
+        for q in qs:
+            yield r, q
 
 
 def test_cyclotomic_polynomials_small():
@@ -103,6 +116,49 @@ def test_inverse_bracket_factorial():
             ctx.inverse_bracket_factorial(-1)
 
 
+def test_quantum_integer_closed_forms():
+    # [k] (zeta - 1/zeta) = zeta^k - zeta^-k and [k] (1/[k]) = 1 fix
+    # each element uniquely; above r = 20 only the closed-form inverses
+    # are checked, as the Euclid fallback at large composite r is slow
+    for r, q in _levels(40, 20):
+        ctx = field_init(r, q)
+        diff = ctx.zeta_power(1) - ctx.zeta_power(-1)
+        for k in range(1, r + 1):
+            assert ctx.quantum_integer(k) * diff == \
+                ctx.zeta_power(k) - ctx.zeta_power(-k)
+        for k in range(1, r):
+            if r <= 20 or math.gcd(k, r) == 1:
+                assert ctx.quantum_integer(k) \
+                    * ctx.inverse_quantum_integer(k) == ctx.one
+
+
+def test_inverse_bracket_factorial_matches_euclid():
+    # composite r (6, 9, 10, 12) sends [k] with gcd(k, r) > 1 to Cyc.invert
+    for r, q in _levels(13, 13):
+        ctx = field_init(r, q)
+        for i in range(r):
+            assert ctx.inverse_bracket_factorial(i) == \
+                ctx.bracket_factorial(i).invert()
+
+
+def test_prime_level_needs_no_euclid(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Cyc.invert called")
+    monkeypatch.setattr(Cyc, "invert", refuse)
+    ctx = FieldContext(31, 1)     # not field_init: its caches start empty
+    assert ctx.inverse_bracket_factorial(30) * ctx.bracket_factorial(30) \
+        == ctx.one
+    assert (ctx.zeta / 62) * 62 == ctx.zeta
+    assert (ctx.zeta / Fraction(-2, 7)) * Fraction(-2, 7) == ctx.zeta
+
+
+def test_inverse_quantum_integer_range():
+    ctx = field_init(6, 1)
+    for k in (0, 6):
+        with pytest.raises(ValueError):
+            ctx.inverse_quantum_integer(k)
+
+
 def test_module_level_wrappers():
     ctx = field_init(5, 1)
     assert quantum_integer(ctx, 2) == ctx.quantum_integer(2)
@@ -136,6 +192,38 @@ def test_field_axioms(data):
     if not a.is_zero():
         assert a * a.invert() == ctx.one
         assert (a / a) == ctx.one
+    assert (a / 3) * 3 == a
+    assert a / Fraction(-2, 5) == a * Fraction(-5, 2)
+
+
+def _reference_product(a, b):
+    """a * b by the full convolution, reduced by Phi_2r alone."""
+    ctx = a.ctx
+    deg = ctx.degree
+    conv = [0] * (2 * deg - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            conv[i + j] += x * y
+    for k in range(len(conv) - 1, deg - 1, -1):
+        c = conv[k]
+        for i, m in enumerate(ctx.modulus):
+            conv[k - deg + i] -= c * m
+    return Cyc(ctx, conv[:deg], a.den * b.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_folds_x_to_the_r(data):
+    # r = 2^k (Phi_2r = x^r + 1), prime r, and composite r with deg << r
+    r = data.draw(st.sampled_from([3, 4, 5, 6, 8, 9, 12, 15, 16, 30, 31]))
+    q = data.draw(st.sampled_from(
+        [q for q in range(1, 2 * r) if math.gcd(r, q) == 1]))
+    ctx = field_init(r, q)
+    a = _random_element(ctx, data)
+    b = _random_element(ctx, data)
+    got = a * b
+    want = _reference_product(a, b)
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 @settings(max_examples=50, deadline=None)
@@ -191,3 +279,7 @@ def test_division_by_zero_raises():
         ctx.one / ctx.zero
     with pytest.raises(ZeroDivisionError):
         ctx.zero.invert()
+    with pytest.raises(ZeroDivisionError):
+        ctx.one / 0
+    with pytest.raises(ZeroDivisionError):
+        ctx.one / Fraction(0)
