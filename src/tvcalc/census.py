@@ -4,7 +4,11 @@ Enumerates all connected gluing tables on exactly ``tets`` tetrahedra up to
 combinatorial isomorphism, keeping those that triangulate a closed
 3-manifold (no free faces, no edge reversed onto itself, all vertex links
 spheres).  Intended for desk scale only; the search is a plain backtracking
-sweep over face pairings with incremental edge-validity pruning.
+sweep over face pairings with incremental edge-validity pruning.  That
+pruning is the skeleton's own edge rule: each gluing feeds the three edge
+pairs of ``FACE_EDGE_MAPS`` into a copy of the parity ``_UnionFind`` that
+``build_skeleton`` uses, and a branch ends at the first failed union (an
+edge glued to itself in reverse).
 """
 from __future__ import annotations
 
@@ -13,10 +17,9 @@ import itertools
 from .homology import betti_z2
 from .triangulation import (
     ALL_PERMS,
-    EDGE_INDEX,
-    EDGE_VERTICES,
-    FACE_EDGES,
+    FACE_EDGE_MAPS,
     Triangulation,
+    _UnionFind,
     build_skeleton,
     make_triangulation,
     perm_compose,
@@ -115,50 +118,6 @@ _PERMS_BY_FACES = {
 }
 
 
-class _EdgeState:
-    """Union-find with parity over the 6n local edges, copy-on-branch."""
-
-    __slots__ = ("parent", "parity")
-
-    def __init__(self, n: int):
-        self.parent = list(range(6 * n))
-        self.parity = [0] * (6 * n)
-
-    def copy(self) -> "_EdgeState":
-        dup = object.__new__(_EdgeState)
-        dup.parent = self.parent.copy()
-        dup.parity = self.parity.copy()
-        return dup
-
-    def find(self, x: int):
-        p = 0
-        while self.parent[x] != x:
-            p ^= self.parity[x]
-            x = self.parent[x]
-        return x, p
-
-    def union(self, x: int, y: int, parity: int) -> bool:
-        """Merge; False on a parity conflict (edge reversed onto itself)."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == parity
-        self.parent[ry] = rx
-        self.parity[ry] = parity ^ px ^ py
-        return True
-
-
-def _apply_gluing(state: _EdgeState, t, face, t2, p) -> bool:
-    for k in FACE_EDGES[face]:
-        u, v = EDGE_VERTICES[k]
-        iu, iv = p[u], p[v]
-        k2 = EDGE_INDEX[(iu, iv)]
-        flipped = 1 if iu > iv else 0
-        if not state.union(6 * t + k, 6 * t2 + k2, flipped):
-            return False
-    return True
-
-
 def enumerate_census(tets: int, one_vertex: bool = False,
                      z2_homology_sphere: bool = False,
                      limit: int | None = None):
@@ -238,7 +197,8 @@ def enumerate_census(tets: int, one_vertex: bool = False,
         for t2, p in opts:
             f2 = p[f]
             branch = state.copy()
-            if not _apply_gluing(branch, t, f, t2, p):
+            if not all(branch.union(6 * t + k, 6 * t2 + k2, flipped)
+                       for k, k2, flipped in FACE_EDGE_MAPS[f, p]):
                 continue
             gluings[t][f] = (t2, p)
             gluings[t2][f2] = (t, perm_invert(p))
@@ -248,4 +208,4 @@ def enumerate_census(tets: int, one_vertex: bool = False,
             if limit is not None and emitted >= limit:
                 return
 
-    yield from search(_EdgeState(n), 1)
+    yield from search(_UnionFind(6 * n), 1)

@@ -305,27 +305,6 @@ _TET_TRIANGLES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
 _TET_QUADS = ((0, 1, 4, 5), (0, 2, 3, 5), (1, 2, 3, 4))
 
 
-def _tet_symmetry_maps():
-    """Edge-index permutations fixing the tetrahedron weight.
-
-    Exactly the 24 vertex relabellings: they permute the triangle and
-    quad half-sum families and leave the weight alone.  Reversing all
-    three opposite pairs (k -> 5-k) preserves quads but swaps triangle
-    edge sets with vertex stars, so it is not a symmetry.
-    """
-    from .triangulation import ALL_PERMS, EDGE_INDEX, EDGE_VERTICES
-
-    maps = set()
-    for perm in ALL_PERMS:
-        maps.add(tuple(
-            EDGE_INDEX[(min(perm[u], perm[v]), max(perm[u], perm[v]))]
-            for (u, v) in EDGE_VERTICES))
-    return tuple(sorted(maps))
-
-
-_TET_SYMMETRIES = _tet_symmetry_maps()
-
-
 def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
     """Weight of one tetrahedron from its six doubled edge colours.
 
@@ -348,20 +327,22 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
                 f"triangle colours ({colours[ia]}, {colours[ib]}, "
                 f"{colours[ic]}) are not admissible for r={ctx.r}")
 
-    # the raw tuple missed; share the value among all 24 relabellings
-    key = min(tuple(colours[m[k]] for k in range(6))
-              for m in _TET_SYMMETRIES)
+    # the raw tuple missed; the sum reads only the triangle and quad
+    # half-sums, so share the value among all tuples with the same ones
+    key = (tuple(sorted(sum(colours[k] for k in tri) // 2
+                        for tri in _TET_TRIANGLES)),
+           tuple(sorted(sum(colours[k] for k in qd) // 2
+                        for qd in _TET_QUADS)))
     got = pool["tet"].get(key)
     if got is None:
-        got = pool["tet"][key] = _tet_weight_sum(ctx, colours)
+        got = pool["tet"][key] = _tet_weight_sum(ctx, *key)
     pool["tet_raw"][colours] = got
     return got
 
 
-def _tet_weight_sum(ctx: FieldContext, colours: tuple) -> Cyc:
-    """The alternating sum of ``tetrahedron_weight``, uncached."""
-    tri_sums = [sum(colours[k] for k in tri) // 2 for tri in _TET_TRIANGLES]
-    quad_sums = [sum(colours[k] for k in qd) // 2 for qd in _TET_QUADS]
+def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
+    """The alternating sum of ``tetrahedron_weight``, uncached, from the
+    triangle and quad half-sums."""
     lo = max(tri_sums)
     hi = min(quad_sums)
     total = ctx.zero

@@ -240,18 +240,11 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
     cob = boundary_matrix_z2(skel, 1).rows[:skel.v - 1]
 
     beta1 = betti_z2(skel, 1)
-    vectors = list(cob)
-    # Greedily extend by kernel vectors independent of the span so far.
+    # Greedily extend the coboundaries by kernel vectors independent of the
+    # span so far; every coboundary must be independent.
+    vectors = []
     rows = []
-    for vec in vectors:
-        acc = vec
-        for rvec, pivot in rows:
-            if (acc >> pivot) & 1:
-                acc ^= rvec
-        if acc == 0:
-            raise ValueError("coboundary vectors are dependent")
-        rows.append((acc, (acc & -acc).bit_length() - 1))
-    for vec in kernel:
+    for i, vec in enumerate(cob + kernel):
         acc = vec
         for rvec, pivot in rows:
             if (acc >> pivot) & 1:
@@ -259,6 +252,8 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
         if acc:
             rows.append((acc, (acc & -acc).bit_length() - 1))
             vectors.append(vec)
+        elif i < len(cob):
+            raise ValueError("coboundary vectors are dependent")
     if len(vectors) != skel.v - 1 + beta1:
         raise ValueError(
             f"cocycle space has dimension {len(vectors)}, "
@@ -313,29 +308,6 @@ def _boundary_int(skel: Skeleton, p: int):
                 m[skel.edge_class[local_edge]][c] += sign
         return m
     raise ValueError(f"p must be 1 or 2, got {p}")
-
-
-def _int_rank(matrix) -> int:
-    """Rank over Q by fraction-free elimination on a copy."""
-    from fractions import Fraction
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b
-                           for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def smith_normal_form(matrix):
@@ -418,9 +390,10 @@ def h1_integral(skel: Skeleton) -> H1Summary:
     """
     d1 = _boundary_int(skel, 1)
     d2 = _boundary_int(skel, 2)
-    rank_d1 = _int_rank(d1)
+    # the Smith diagonal holds only nonzero pivots, so its length is the rank
+    rank_d1 = len(smith_normal_form(d1))
     diag = smith_normal_form(d2)
-    rank_d2 = len([d for d in diag if d])
+    rank_d2 = len(diag)
     rank = skel.e - rank_d1 - rank_d2
     torsion = tuple(d for d in diag if d > 1)
     return H1Summary(rank=rank, torsion=torsion)

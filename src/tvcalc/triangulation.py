@@ -22,6 +22,7 @@ __all__ = [
     "EDGE_VERTICES",
     "EDGE_INDEX",
     "FACE_EDGES",
+    "FACE_EDGE_MAPS",
     "GluingError",
     "ParseError",
     "Triangulation",
@@ -65,6 +66,14 @@ for _k, (_u, _v) in enumerate(EDGE_VERTICES):
 FACE_EDGES: tuple[tuple[int, int, int], ...] = tuple(
     tuple(k for k, (u, v) in enumerate(EDGE_VERTICES) if f not in (u, v))
     for f in range(4))
+
+# Gluing face f by p joins each edge k on f to edge EDGE_INDEX[(p[u], p[v])];
+# flipped is 1 when p reverses the edge's ascending vertex order.  Keyed by
+# (f, p), this one table is the edge rule of the skeleton and the census.
+FACE_EDGE_MAPS: dict = {
+    (f, p): tuple((k, EDGE_INDEX[(p[u], p[v])], int(p[u] > p[v]))
+                  for k, (u, v) in enumerate(EDGE_VERTICES) if f not in (u, v))
+    for f in range(4) for p in ALL_PERMS}
 
 
 class ParseError(ValueError):
@@ -230,58 +239,50 @@ def serialise_triangulation(tri: Triangulation) -> str:
 
 
 class _UnionFind:
-    """Union-find with an optional parity bit per element.
+    """Union-find with a parity bit per element, copy-on-branch.
 
-    The parity of an element is relative to its root; joining an element to
-    itself with odd parity marks the whole class as conflicted, which is how
-    edge reversals are detected.
+    An element's parity is relative to its parent, so the XOR along its
+    path is its parity against the root.  Joining two elements of one
+    class with a parity that disagrees fails; for edges that is an edge
+    glued to itself in reverse.
     """
 
-    def __init__(self, size: int, track_parity: bool = False):
+    __slots__ = ("parent", "parity")
+
+    def __init__(self, size: int):
         self.parent = list(range(size))
-        self.rank = [0] * size
-        self.parity = [0] * size if track_parity else None
-        self.conflict = [False] * size
+        self.parity = [0] * size
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        if self.parity is None:
-            while self.parent[x] != root:
-                self.parent[x], x = root, self.parent[x]
-        return root
+    def copy(self) -> "_UnionFind":
+        dup = object.__new__(_UnionFind)
+        dup.parent = self.parent.copy()
+        dup.parity = self.parity.copy()
+        return dup
 
-    def parity_to_root(self, x: int) -> int:
+    def find(self, x: int):
+        """(root, parity of x against the root)."""
         p = 0
         while self.parent[x] != x:
             p ^= self.parity[x]
             x = self.parent[x]
-        return p
+        return x, p
 
-    def union(self, x: int, y: int, parity: int = 0) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if self.parity is not None:
-            parity ^= self.parity_to_root(x) ^ self.parity_to_root(y)
+    def union(self, x: int, y: int, parity: int = 0) -> bool:
+        """Merge; False on a parity conflict."""
+        rx, px = self.find(x)
+        ry, py = self.find(y)
         if rx == ry:
-            if self.parity is not None and parity:
-                self.conflict[rx] = True
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
+            return (px ^ py) == parity
         self.parent[ry] = rx
-        if self.parity is not None:
-            self.parity[ry] = parity
-        self.conflict[rx] = self.conflict[rx] or self.conflict[ry]
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
+        self.parity[ry] = parity ^ px ^ py
+        return True
 
     def classes(self):
         """Class ids in first-appearance order; returns (ids, count)."""
         ids = [-1] * len(self.parent)
         seen: dict[int, int] = {}
         for x in range(len(self.parent)):
-            root = self.find(x)
+            root = self.find(x)[0]
             if root not in seen:
                 seen[root] = len(seen)
             ids[x] = seen[root]
@@ -323,8 +324,9 @@ class Skeleton:
 def build_skeleton(tri: Triangulation) -> Skeleton:
     n = tri.n
     vertices = _UnionFind(4 * n)
-    edges = _UnionFind(6 * n, track_parity=True)
+    edges = _UnionFind(6 * n)
     triangles = _UnionFind(4 * n)
+    reversed_locals = []   # local edges whose gluing union failed
 
     for t, row in enumerate(tri.gluings):
         for face, g in enumerate(row):
@@ -335,21 +337,16 @@ def build_skeleton(tri: Triangulation) -> Skeleton:
             for u in range(4):
                 if u != face:
                     vertices.union(4 * t + u, 4 * t2 + p[u])
-            for k in FACE_EDGES[face]:
-                u, v = EDGE_VERTICES[k]
-                iu, iv = p[u], p[v]
-                k2 = EDGE_INDEX[(iu, iv)]
-                flipped = 1 if iu > iv else 0
-                edges.union(6 * t + k, 6 * t2 + k2, flipped)
+            for k, k2, flipped in FACE_EDGE_MAPS[face, p]:
+                if not edges.union(6 * t + k, 6 * t2 + k2, flipped):
+                    reversed_locals.append(6 * t + k)
 
     vclass, v = vertices.classes()
     eclass, e = edges.classes()
     fclass, f = triangles.classes()
 
-    reversed_edges = tuple(sorted(
-        eclass[x] for x in range(6 * n)
-        if edges.parent[x] == x and edges.conflict[x]))
-    esign = tuple(-1 if edges.parity_to_root(x) else 1 for x in range(6 * n))
+    reversed_edges = tuple(sorted({eclass[x] for x in reversed_locals}))
+    esign = tuple(-1 if edges.find(x)[1] else 1 for x in range(6 * n))
 
     tet_edges = tuple(
         tuple(eclass[6 * t + k] for k in range(6)) for t in range(n))
@@ -369,7 +366,7 @@ def build_skeleton(tri: Triangulation) -> Skeleton:
     for t in range(n):
         for k in range(6):
             local = 6 * t + k
-            if edges.find(local) == local:
+            if edges.parent[local] == local:
                 u, w = EDGE_VERTICES[k]
                 endpoints[eclass[local]] = (vclass[4 * t + u],
                                             vclass[4 * t + w])

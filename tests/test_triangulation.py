@@ -17,7 +17,9 @@ from tvcalc.triangulation import (
     ALL_PERMS,
     EDGE_INDEX,
     EDGE_VERTICES,
+    FACE_EDGE_MAPS,
     ParseError,
+    _UnionFind,
     make_triangulation,
     perm_compose,
     perm_invert,
@@ -173,6 +175,26 @@ def test_sphere_links_match_euler_characteristic():
             serialise_triangulation(tri)
         checked[tri.n, spheres] += 1
     assert min(checked.values()) >= 10 and len(checked) == 4
+
+
+def test_face_edge_table_detects_reversed_edges():
+    # the census prunes on the rule build_skeleton uses: some edge union
+    # of some gluing fails exactly when an edge class is reversed
+    tables = (_closed_one_tet_tables() + _seeded_closed_tables(2, 500, 11)
+              + _seeded_closed_tables(3, 500, 12))
+    outcomes = Counter()
+    for tri in tables:
+        edges = _UnionFind(6 * tri.n)
+        failed = False
+        for t, row in enumerate(tri.gluings):
+            for face, (t2, p) in enumerate(row):
+                for k, k2, flipped in FACE_EDGE_MAPS[face, p]:
+                    if not edges.union(6 * t + k, 6 * t2 + k2, flipped):
+                        failed = True
+        reversed_edges = build_skeleton(tri).reversed_edges
+        assert failed == bool(reversed_edges), serialise_triangulation(tri)
+        outcomes[tri.n, failed] += 1
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 10
 
 
 @pytest.mark.parametrize("text, messages", [
