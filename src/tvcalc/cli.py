@@ -431,8 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of main: building it costs some ten times what
+# parsing one command line does, and in-process callers make many calls.
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.handler(args)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tvcalc import serialise_triangulation, tv
+from tvcalc import cli, serialise_triangulation, tv
 from tvcalc.cli import main
 
 ONE_VERTEX_SPHERE = """tri 1
@@ -91,6 +91,32 @@ def test_compute_class_restriction(tmp_path, capsys):
                  "--json", "--algorithm", "naive"]) == 0
     full = json.loads(capsys.readouterr().out)
     assert sum(total) == full["counts"]["admissible"]
+
+
+def test_consecutive_calls_carry_no_flags(tmp_path, monkeypatch, capsys):
+    # main keeps one parser per process; nothing parsed by one call may
+    # reach the next
+    path = tmp_path / "z4.tri"
+    path.write_text(TORSION_LIKE)
+    plain = ["compute", "--file", str(path), "--r", "4", "--json"]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main([*plain, "--algorithm", "naive", "--class", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == "1"
+    assert main(["compute", "--file", str(path), "--r", "4", "--class",
+                 "01"]) == 2
+    assert capsys.readouterr().err.startswith("tv: error:")
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "--r", "4"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(plain) == 0
+    after = capsys.readouterr()
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(plain) == 0
+    lone = capsys.readouterr()
+    assert (after.out, after.err) == (lone.out, lone.err)
+    doc = json.loads(after.out)
+    assert (doc["algorithm"], doc["class"]) == ("tv4", None)
 
 
 def test_compute_usage_errors(sphere_file, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcalc import field_init, numeric_eval
-from tvcalc.cyclotomic import Cyc, FieldContext, bracket_factorial, \
-    cyclotomic_polynomial, quantum_integer
+from tvcalc.cyclotomic import KRONECKER_DEGREE, Cyc, FieldContext, \
+    bracket_factorial, cyclotomic_polynomial, quantum_integer
 
 LEVELS = [(3, 1), (4, 1), (5, 1), (5, 3), (7, 2), (8, 3), (9, 5), (12, 5),
           (16, 3)]
@@ -118,8 +119,7 @@ def test_inverse_bracket_factorial():
 
 def test_quantum_integer_closed_forms():
     # [k] (zeta - 1/zeta) = zeta^k - zeta^-k and [k] (1/[k]) = 1 fix
-    # each element uniquely; above r = 20 only the closed-form inverses
-    # are checked, as the Euclid fallback at large composite r is slow
+    # each element uniquely
     for r, q in _levels(40, 20):
         ctx = field_init(r, q)
         diff = ctx.zeta_power(1) - ctx.zeta_power(-1)
@@ -127,13 +127,13 @@ def test_quantum_integer_closed_forms():
             assert ctx.quantum_integer(k) * diff == \
                 ctx.zeta_power(k) - ctx.zeta_power(-k)
         for k in range(1, r):
-            if r <= 20 or math.gcd(k, r) == 1:
-                assert ctx.quantum_integer(k) \
-                    * ctx.inverse_quantum_integer(k) == ctx.one
+            assert ctx.quantum_integer(k) \
+                * ctx.inverse_quantum_integer(k) == ctx.one
 
 
 def test_inverse_bracket_factorial_matches_euclid():
-    # composite r (6, 9, 10, 12) sends [k] with gcd(k, r) > 1 to Cyc.invert
+    # Cyc.invert is the oracle; composite r (6, 9, 10, 12) has [k] with
+    # gcd(k, r) > 1, where zeta^2k is not a primitive r-th root
     for r, q in _levels(13, 13):
         ctx = field_init(r, q)
         for i in range(r):
@@ -141,15 +141,16 @@ def test_inverse_bracket_factorial_matches_euclid():
                 ctx.bracket_factorial(i).invert()
 
 
-def test_prime_level_needs_no_euclid(monkeypatch):
+def test_field_set_up_needs_no_euclid(monkeypatch):
     def refuse(self):
         raise AssertionError("Cyc.invert called")
     monkeypatch.setattr(Cyc, "invert", refuse)
-    ctx = FieldContext(31, 1)     # not field_init: its caches start empty
-    assert ctx.inverse_bracket_factorial(30) * ctx.bracket_factorial(30) \
-        == ctx.one
-    assert (ctx.zeta / 62) * 62 == ctx.zeta
-    assert (ctx.zeta / Fraction(-2, 7)) * Fraction(-2, 7) == ctx.zeta
+    for r, q in [(31, 1), (12, 5), (39, 2), (40, 3)]:
+        ctx = FieldContext(r, q)    # not field_init: its caches start empty
+        assert ctx.inverse_bracket_factorial(r - 1) \
+            * ctx.bracket_factorial(r - 1) == ctx.one
+        assert (ctx.zeta / (2 * r)) * (2 * r) == ctx.zeta
+        assert (ctx.zeta / Fraction(-2, 7)) * Fraction(-2, 7) == ctx.zeta
 
 
 def test_inverse_quantum_integer_range():
@@ -165,10 +166,9 @@ def test_module_level_wrappers():
     assert bracket_factorial(ctx, 3) == ctx.bracket_factorial(3)
 
 
-def _random_element(ctx, data):
+def _random_element(ctx, data, numerators=st.integers(-9, 9)):
     degree = len(ctx.modulus) - 1
-    coeffs = [Fraction(data.draw(st.integers(-9, 9)),
-                       data.draw(st.integers(1, 9)))
+    coeffs = [Fraction(data.draw(numerators), data.draw(st.integers(1, 9)))
               for _ in range(degree)]
     return ctx.from_fractions(coeffs)
 
@@ -211,19 +211,70 @@ def _reference_product(a, b):
     return Cyc(ctx, conv[:deg], a.den * b.den)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_product_folds_x_to_the_r(data):
-    # r = 2^k (Phi_2r = x^r + 1), prime r, and composite r with deg << r
-    r = data.draw(st.sampled_from([3, 4, 5, 6, 8, 9, 12, 15, 16, 30, 31]))
-    q = data.draw(st.sampled_from(
-        [q for q in range(1, 2 * r) if math.gcd(r, q) == 1]))
-    ctx = field_init(r, q)
-    a = _random_element(ctx, data)
-    b = _random_element(ctx, data)
+def _operand(ctx, data):
+    kind = data.draw(st.sampled_from(["small", "wide", "zero", "top"]))
+    if kind == "small":
+        return _random_element(ctx, data)
+    if kind == "wide":
+        return _random_element(ctx, data, st.integers(-2**200, 2**200))
+    if kind == "zero":
+        return ctx.zero
+    top = [0] * ctx.degree
+    top[-1] = data.draw(st.integers(-2**200, 2**200).filter(bool))
+    return Cyc(ctx, top, data.draw(st.integers(1, 9)))
+
+
+def _assert_schoolbook(a, b):
     got = a * b
     want = _reference_product(a, b)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_product_folds_x_to_the_r(data):
+    # r = 2^k (Phi_2r = x^r + 1), prime r, and composite r with deg << r,
+    # on both sides of KRONECKER_DEGREE
+    r = data.draw(st.sampled_from([3, 4, 5, 6, 8, 9, 12, 15, 16, 30, 31,
+                                   32, 45, 47]))
+    q = data.draw(st.sampled_from(
+        [q for q in range(1, 2 * r) if math.gcd(r, q) == 1]))
+    ctx = field_init(r, q)
+    _assert_schoolbook(_operand(ctx, data), _operand(ctx, data))
+
+
+def test_products_match_schoolbook_at_every_degree():
+    rng = random.Random(8)
+    level_of = {}
+    for r in range(3, 100):
+        level_of.setdefault(len(cyclotomic_polynomial(2 * r)) - 1, r)
+    degrees = [d for d in sorted(level_of) if d <= 60]
+    assert degrees[0] == 2 and degrees[-1] == 60
+    for degree in degrees:
+        ctx = field_init(level_of[degree], 1)
+        for _ in range(4):
+            a, b = (ctx.from_fractions(
+                [Fraction(rng.randint(-2**64, 2**64), rng.randint(1, 99))
+                 for _ in range(degree)]) for _ in range(2))
+            _assert_schoolbook(a, b)
+
+
+@pytest.mark.parametrize("r", [23, 31, 47])
+def test_product_fills_its_slots(r):
+    # a = M_a (1, 1, ..., 1) and b = M_b (1, -1, ..., -1) put deg - 1
+    # products of one sign into coefficient 0 once x^r = -1 is folded.
+    # With bits(M_a) + bits(M_b) + bits(deg) a multiple of 8, that sum
+    # needs all of it plus a sign bit, so a slot one bit narrower fails.
+    ctx = field_init(r, 1)
+    assert ctx.degree >= KRONECKER_DEGREE and ctx.degree == r - 1
+    extra = ctx.degree.bit_length()
+    bits_a, bits_b = 100, 108 - extra
+    big_a, big_b = 2**bits_a - 1, 2**bits_b - 1
+    assert (ctx.degree - 1) * big_a * big_b >= 2 ** (bits_a + bits_b
+                                                     + extra - 1)
+    a = Cyc(ctx, (big_a,) * ctx.degree)
+    b = Cyc(ctx, (big_b,) + (-big_b,) * (ctx.degree - 1))
+    _assert_schoolbook(a, b)
 
 
 @settings(max_examples=50, deadline=None)
