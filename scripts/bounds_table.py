@@ -105,6 +105,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.max_tets > MAX_CENSUS_TETS:
         ap.error(f"--max-tets must be at most {MAX_CENSUS_TETS}")
+    if min(args.levels) < 3:
+        ap.error("--levels must all be >= 3")
 
     cfg = SurveyConfig(max_tets=args.max_tets, levels=tuple(args.levels),
                        json_path=args.json_path, rows=args.rows,

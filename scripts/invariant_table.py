@@ -51,6 +51,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.max_tets > MAX_CENSUS_TETS:
         ap.error(f"--max-tets must be at most {MAX_CENSUS_TETS}")
+    if args.digits < 1:
+        ap.error("--digits must be >= 1")
     for r in args.levels:
         try:
             field_init(r, args.q)

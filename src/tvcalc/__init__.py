@@ -6,7 +6,6 @@ zeta = exp(i pi q / r); no floating point enters any equality decision.
 
 from .census import enumerate_census
 from .colourings import (
-    Colouring,
     EnumerationStats,
     admissible_colouring,
     admissible_triple,
@@ -27,9 +26,7 @@ from .cyclotomic import (
     quantum_integer,
 )
 from .fastalgo import (
-    Adm3Certificate,
     BoundReport,
-    adm3_certificate,
     adm4_structured,
     bounds,
     tv4_structured,

@@ -50,9 +50,9 @@ def _fail_usage(message: str) -> int:
     return USAGE
 
 
-def _load_skeleton(path: str):
-    """Parse and validate; returns a connected closed 3-manifold
-    Skeleton or an exit code."""
+def _load_skeleton(path: str, r: int, q: int = 1):
+    """Parse and validate, then check the level (r, q); returns a
+    connected closed 3-manifold Skeleton or an exit code."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -62,10 +62,14 @@ def _load_skeleton(path: str):
         skel = _checked_skeleton(parse_triangulation(text))
         if betti_z2(skel, 0) != 1:
             raise ValueError("triangulation is not connected")
-        return skel
     except ValueError as exc:
         print(f"tv: invalid triangulation in {path}: {exc}", file=sys.stderr)
         return INVALID_INPUT
+    try:
+        field_init(r, q)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
+    return skel
 
 
 @dataclass
@@ -154,13 +158,9 @@ def _choose_algorithm(args, skel) -> str | None:
 
 
 def _cmd_compute(args) -> int:
-    skel = _load_skeleton(args.file)
+    skel = _load_skeleton(args.file, args.r, args.q)
     if isinstance(skel, int):
         return skel
-    try:
-        field_init(args.r, args.q)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     if args.digits < 1:
         return _fail_usage("--digits must be >= 1")
 
@@ -212,13 +212,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    skel = _load_skeleton(args.file)
+    skel = _load_skeleton(args.file, args.r)
     if isinstance(skel, int):
         return skel
-    try:
-        field_init(args.r, 1)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     colourings, stats = enumerate_admissible(
         skel, args.r, integer_only=args.integer_only)
     if args.count_only:
@@ -226,18 +222,14 @@ def _cmd_enumerate(args) -> int:
         print(f"nodes visited: {stats.nodes_visited}")
         return 0
     for col in colourings:
-        print(" ".join(str(a) for a in col.doubled))
+        print(" ".join(str(a) for a in col))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    skel = _load_skeleton(args.file)
+    skel = _load_skeleton(args.file, args.r)
     if isinstance(skel, int):
         return skel
-    try:
-        field_init(args.r, 1)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     print(bounds(skel, args.r).to_json())
     return 0
 
@@ -288,7 +280,7 @@ def _run_verify(skel, r: int) -> int:
 
     colourings, stats = enumerate_admissible(skel, r)
     check(f"level-{r} enumeration self-consistent",
-          all(admissible_colouring(skel, col.doubled, r)
+          all(admissible_colouring(skel, col, r)
               for col in colourings),
           f"{len(colourings)} colourings, {stats.nodes_visited} nodes")
 
@@ -341,7 +333,7 @@ def _run_verify(skel, r: int) -> int:
     if r == 4:
         fast, _ = adm4_structured(skel)
         check("structured level-4 enumeration matches",
-              {c.doubled for c in fast} == {c.doubled for c in colourings})
+              set(fast) == set(colourings))
     if r % 2 == 1 and skel.v == 1:
         check("fast odd-r value matches the state sum",
               tv_odd_fast(skel, r) == total)
@@ -368,13 +360,9 @@ def _run_verify(skel, r: int) -> int:
 
 
 def _cmd_verify(args) -> int:
-    skel = _load_skeleton(args.file)
+    skel = _load_skeleton(args.file, args.r)
     if isinstance(skel, int):
         return skel
-    try:
-        field_init(args.r, 1)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     return _run_verify(skel, args.r)
 
 

@@ -1,11 +1,12 @@
 """Admissible edge colourings and the state-sum invariant.
 
 Colours live on edge classes as doubled integers 0..r-2 (twice the
-half-integer colour), so every admissibility test is integer arithmetic.
-A colouring is admissible when each triangle class satisfies the parity
-condition, the triangle inequalities and the degree bound; the invariant
-is the exact cyclotomic sum of per-colouring weights, one factor per
-vertex, edge, triangle and tetrahedron class.
+half-integer colour), so every admissibility test is integer arithmetic,
+and a colouring is a plain tuple: entry j is the doubled colour of edge
+class j.  A colouring is admissible when each triangle class satisfies
+the parity condition, the triangle inequalities and the degree bound;
+the invariant is the exact cyclotomic sum of per-colouring weights, one
+factor per vertex, edge, triangle and tetrahedron class.
 
 One backtracking walker, ``_backtrack``, fills given slots of a colour
 list in order and tests each triangle once its last slot has a colour.
@@ -39,7 +40,6 @@ from .triangulation import (
 )
 
 __all__ = [
-    "Colouring",
     "EnumerationStats",
     "admissible_triple",
     "admissible_colouring",
@@ -55,20 +55,6 @@ __all__ = [
     "tv",
     "tv_at_class",
 ]
-
-
-@dataclass(frozen=True)
-class Colouring:
-    """Doubled colours per edge class: entry j is twice the colour of edge
-    class j."""
-
-    doubled: tuple
-
-    def __iter__(self):
-        return iter(self.doubled)
-
-    def __len__(self):
-        return len(self.doubled)
 
 
 @dataclass
@@ -217,25 +203,23 @@ def enumerate_admissible(
     integer_only restricts the search to whole colours (even doubled
     values).  class_coords keeps only colourings whose half-integer
     pattern represents that cohomology class; it filters emitted results
-    and does not shrink the search tree.  Returns (list of Colouring,
-    EnumerationStats).
+    and does not shrink the search tree.  Returns (list of colourings,
+    each a tuple of doubled colours per edge class, EnumerationStats).
     """
     if r < 3:
         raise ValueError(f"r must be at least 3, got {r}")
     skel = _as_skeleton(source)
-    target = None
     if class_coords is not None:
         basis = cocycle_space_1(skel)
         target = _class_target(basis, class_coords)
 
     order, checks = _search_plan(skel)
     stats = EnumerationStats()
-    found = [
-        Colouring(doubled)
-        for doubled in _backtrack(r, _domain(r, integer_only),
-                                  [0] * skel.e, order, checks, stats)
-        if target is None
-        or basis.class_bits(reduce_colouring(doubled)) == target]
+    found = _backtrack(r, _domain(r, integer_only), [0] * skel.e, order,
+                       checks, stats)
+    if class_coords is not None:
+        found = [doubled for doubled in found
+                 if basis.class_bits(reduce_colouring(doubled)) == target]
     stats.admissible_count = len(found)
     return found, stats
 

@@ -1,21 +1,21 @@
 """Structure-aware colouring enumeration and fast state sums.
 
-At level 3 the admissible colourings are exactly the Z/2 1-cocycles.
-Each level-4 colouring reduces mod 2 to one of them, which turns the
-level-4 search into small independent searches over the zero-coloured
-edges of each cocycle.  For odd levels on one-vertex triangulations the
-state sum factors through the level-3 invariant and the integer-coloured
-part, so only even colours need summing.
+At level 3 the admissible colourings are exactly the Z/2 1-cocycles,
+so ``cocycle_space_1(skel).span()`` lists them as edge bitmasks (bit j
+set: colour 1 on edge class j).  Each level-4 colouring reduces mod 2
+to one of them, which turns the level-4 search into small independent
+searches over the zero-coloured edges of each cocycle.  For odd levels
+on one-vertex triangulations the state sum factors through the level-3
+invariant and the integer-coloured part, so only even colours need
+summing.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .colourings import (
-    Colouring,
     EnumerationStats,
     WeightSystem,
     _backtrack,
@@ -29,9 +29,7 @@ from .homology import cocycle_space_1
 from .triangulation import Skeleton
 
 __all__ = [
-    "Adm3Certificate",
     "BoundReport",
-    "adm3_certificate",
     "adm4_structured",
     "tv4_structured",
     "tv_odd_fast",
@@ -39,51 +37,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Adm3Certificate:
-    """Every level-3 admissible colouring, with its zero-coloured edges.
+def _extend_cocycle(skel: Skeleton, mask: int, stats):
+    """All level-4 colourings reducing to the nonzero cocycle ``mask``.
 
-    Level-3 admissibility forces colours in {0, 1} with an even number
-    of 1s around every triangle, i.e. the colourings are the Z/2
-    1-cocycles; there are 2^(v - 1 + beta1) of them.
+    Edges outside the mask (its kernel) may be raised from colour 0 to
+    colour 2; edges in it keep colour 1.  A triangle with two colour-1
+    edges allows anything on its third edge, so only triangles all of
+    whose edges lie in the kernel constrain the search; on colours in
+    {0, 2} level-4 admissibility says they carry zero or two 2s.  The
+    walk adds its candidates to ``stats.nodes_visited``.
     """
-
-    colourings: tuple
-    kernels: tuple
-
-    def __len__(self) -> int:
-        return len(self.colourings)
-
-
-def adm3_certificate(source) -> Adm3Certificate:
-    skel = _checked_skeleton(source)
-    basis = cocycle_space_1(skel)
-    colourings = []
-    kernels = []
-    for mask in basis.span():
-        doubled = tuple((mask >> j) & 1 for j in range(skel.e))
-        colourings.append(Colouring(doubled))
-        kernels.append(tuple(j for j in range(skel.e) if not doubled[j]))
-    return Adm3Certificate(tuple(colourings), tuple(kernels))
-
-
-def _extend_cocycle(skel: Skeleton, doubled3, kernel, stats):
-    """All level-4 colourings reducing to the given nonzero cocycle.
-
-    Zero-coloured edges may be raised to colour 2; edges coloured 1
-    stay.  A triangle with two colour-1 edges allows anything on its
-    third edge, so only triangles all of whose edges lie in the kernel
-    constrain the search; on colours in {0, 2} level-4 admissibility
-    says they carry zero or two 2s.  The walk adds its candidates to
-    ``stats.nodes_visited``.
-    """
+    colours = [(mask >> j) & 1 for j in range(skel.e)]
+    kernel = [j for j in range(skel.e) if not colours[j]]
     level = {c: k for k, c in enumerate(kernel)}
     checks = [[] for _ in range(len(kernel) + 1)]
     for tri in skel.triangle_edge_classes:
         if all(c in level for c in tri):
             checks[1 + max(level[c] for c in tri)].append(tri)
-    return [Colouring(doubled) for doubled in _backtrack(
-        4, (0, 2), doubled3, kernel, checks, stats)]
+    return _backtrack(4, (0, 2), colours, kernel, checks, stats)
 
 
 def adm4_structured(source):
@@ -94,22 +65,21 @@ def adm4_structured(source):
     most sum(2^|kernel| over nonzero cocycles) + #cocycles.
     """
     skel = _checked_skeleton(source)
-    cert = adm3_certificate(skel)
+    cocycles = list(cocycle_space_1(skel).span())
     stats = EnumerationStats()
     found = []
-
-    for theta, kernel in zip(cert.colourings, cert.kernels):
-        if any(theta.doubled):
-            found.extend(_extend_cocycle(skel, theta.doubled, kernel, stats))
+    for mask in cocycles:
+        if mask:
+            found.extend(_extend_cocycle(skel, mask, stats))
 
     # every doubled cocycle is admissible at level 4: triangle sums stay
     # even and at most 4, and a lone 2 would need an odd number of 1s
-    for theta in cert.colourings:
-        stats.nodes_visited += 1
-        found.append(Colouring(tuple(2 * x for x in theta.doubled)))
+    stats.nodes_visited += len(cocycles)
+    found.extend(tuple(2 * ((mask >> j) & 1) for j in range(skel.e))
+                 for mask in cocycles)
 
     stats.admissible_count = len(found)
-    found.sort(key=lambda col: col.doubled)
+    found.sort()
     return found, stats
 
 
@@ -145,8 +115,7 @@ def tv_odd_fast(source, r: int) -> Cyc:
         return level3
     assert level3.is_rational(), "level-3 weights are rational"
 
-    zero_weight = WeightSystem(skel, 3, 1).colouring_weight(
-        Colouring((0,) * skel.e))
+    zero_weight = WeightSystem(skel, 3, 1).colouring_weight((0,) * skel.e)
     scale = level3.as_rational() / zero_weight.as_rational()
 
     integer_part = _elimination_sum(skel, r, 1, integer_only=True)
@@ -215,12 +184,10 @@ def bounds(source, r: int) -> BoundReport:
     naive = (r - 1) ** skel.e
     kernel_sum = coarse = None
     if r == 4:
-        cert = adm3_certificate(skel)
-        kernel_sum = sum(1 << len(ker)
-                         for theta, ker in zip(cert.colourings, cert.kernels)
-                         if any(theta.doubled))
-        kernel_sum += len(cert)
-        coarse = (len(cert) - 1) * ((1 << (skel.e - 1)) + 1) + 1
+        cocycles = list(basis.span())
+        kernel_sum = len(cocycles) + sum(
+            1 << (skel.e - mask.bit_count()) for mask in cocycles if mask)
+        coarse = (len(cocycles) - 1) * ((1 << (skel.e - 1)) + 1) + 1
 
     integer_bound = small_level = None
     if skel.v == 1 and beta1 == 0:

@@ -144,30 +144,15 @@ class CocycleBasis:
     A cocycle is a bitmask with bit j for edge class j.  The trailing
     ``beta1`` basis vectors represent the cohomology classes; expressing a
     cocycle over the basis and keeping the trailing coordinates gives its
-    class.
+    class.  ``rows`` is the basis row reduced in order, one (reduced
+    mask, combination of basis vectors, pivot bit) per vector.
     """
 
     n_edges: int
     coboundary_dim: int
     beta1: int
     vectors: tuple
-    _solve_rows: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        # Row reduce the basis once, remembering the combination of
-        # original basis vectors that produced each reduced row.
-        rows = []   # (reduced bitmask, combination bitmask)
-        for i, vec in enumerate(self.vectors):
-            acc, combo = vec, 1 << i
-            for rvec, rcombo, pivot in rows:
-                if (acc >> pivot) & 1:
-                    acc ^= rvec
-                    combo ^= rcombo
-            if acc == 0:
-                raise ValueError("basis vectors are dependent")
-            pivot = (acc & -acc).bit_length() - 1
-            rows.append((acc, combo, pivot))
-        self._solve_rows = rows
+    rows: tuple = field(repr=False)
 
     def _eliminate(self, mask: int):
         """(residue, combination) of mask against the reduced basis.
@@ -176,7 +161,7 @@ class CocycleBasis:
         test reads a bit that is itself linear in the input.
         """
         acc, combo = mask, 0
-        for rvec, rcombo, pivot in self._solve_rows:
+        for rvec, rcombo, pivot in self.rows:
             if (acc >> pivot) & 1:
                 acc ^= rvec
                 combo ^= rcombo
@@ -241,16 +226,18 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
 
     beta1 = betti_z2(skel, 1)
     # Greedily extend the coboundaries by kernel vectors independent of the
-    # span so far; every coboundary must be independent.
+    # span so far; every coboundary must be independent.  Each reduced row
+    # remembers the combination of basis vectors that produced it.
     vectors = []
     rows = []
     for i, vec in enumerate(cob + kernel):
-        acc = vec
-        for rvec, pivot in rows:
+        acc, combo = vec, 1 << len(vectors)
+        for rvec, rcombo, pivot in rows:
             if (acc >> pivot) & 1:
                 acc ^= rvec
+                combo ^= rcombo
         if acc:
-            rows.append((acc, (acc & -acc).bit_length() - 1))
+            rows.append((acc, combo, (acc & -acc).bit_length() - 1))
             vectors.append(vec)
         elif i < len(cob):
             raise ValueError("coboundary vectors are dependent")
@@ -263,6 +250,7 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
         coboundary_dim=skel.v - 1,
         beta1=beta1,
         vectors=tuple(vectors),
+        rows=tuple(rows),
     )
 
 

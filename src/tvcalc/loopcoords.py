@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .colourings import Colouring, admissible_triple
+from .colourings import admissible_triple
 from .cyclotomic import Cyc, FieldContext
 from .triangulation import Skeleton, Triangulation, build_skeleton
 
@@ -106,9 +106,7 @@ def intersection_symbol(source, colouring, tet: int) -> IntersectionSymbol:
     skel = source if isinstance(source, Skeleton) else build_skeleton(source)
     if not (0 <= tet < len(skel.triangulation.gluings)):
         raise ValueError(f"no tetrahedron {tet}")
-    doubled = colouring.doubled if isinstance(colouring, Colouring) \
-        else tuple(colouring)
-    local = [doubled[c] for c in skel.tet_edge_classes[tet]]
+    local = [colouring[c] for c in skel.tet_edge_classes[tet]]
     return IntersectionSymbol((
         tuple(local[e] for e in _ROW1_EDGES),
         tuple(local[e] for e in _ROW2_EDGES),

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcalc import (
-    Colouring,
     admissible_colouring,
     admissible_triple,
     build_skeleton,
@@ -76,9 +75,9 @@ def test_enumeration_matches_product_filter(census1, census2):
             found, stats = enumerate_admissible(skel, r)
             assert len(found) == _oracle_count(skel, r)
             assert stats.admissible_count == len(found)
-            assert len({c.doubled for c in found}) == len(found)
+            assert len(set(found)) == len(found)
             for col in found:
-                assert admissible_colouring(skel, col.doubled, r)
+                assert admissible_colouring(skel, col, r)
 
 
 def test_integer_only_is_the_even_subset(census2):
@@ -86,9 +85,8 @@ def test_integer_only_is_the_even_subset(census2):
         skel = build_skeleton(tri)
         full, _ = enumerate_admissible(skel, 6)
         even, _ = enumerate_admissible(skel, 6, integer_only=True)
-        want = {c.doubled for c in full
-                if all(a % 2 == 0 for a in c.doubled)}
-        assert {c.doubled for c in even} == want
+        want = {c for c in full if all(a % 2 == 0 for a in c)}
+        assert set(even) == want
 
 
 def test_class_filter_partitions_colourings(census1):
@@ -100,10 +98,10 @@ def test_class_filter_partitions_colourings(census1):
         for bits in range(1 << basis.beta1):
             coords = tuple((bits >> k) & 1 for k in range(basis.beta1))
             part, _ = enumerate_admissible(skel, 5, class_coords=coords)
-            part_set = {c.doubled for c in part}
+            part_set = set(part)
             assert not part_set & seen
             seen |= part_set
-        assert seen == {c.doubled for c in full}
+        assert seen == set(full)
 
 
 def test_class_filter_length_checked(census1):
@@ -249,8 +247,8 @@ def test_tetrahedron_weight_relabelling_invariance():
 
 def test_colouring_weight_rejects_inadmissible(census1):
     skel = build_skeleton(census1[0])
-    bad = Colouring((1,) + (0,) * (skel.e - 1))
-    if admissible_colouring(skel, bad.doubled, 5):
+    bad = (1,) + (0,) * (skel.e - 1)
+    if admissible_colouring(skel, bad, 5):
         pytest.skip("unexpectedly admissible")
     with pytest.raises(ValueError):
         colouring_weight(skel, bad, 5)

@@ -212,7 +212,7 @@ def test_arc_totals_within_level(census1):
             for col in found:
                 for triple in skel.triangle_edge_classes:
                     counts = normal_arc_counts(
-                        tuple(col.doubled[c] for c in triple))
+                        tuple(col[c] for c in triple))
                     assert all(x >= 0 for x in counts)
                     assert sum(counts) <= r - 2
 

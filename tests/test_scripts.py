@@ -45,6 +45,10 @@ def test_invariant_table_rows(capsys):
     ("invariant_table", ["--max-tets", str(MAX_CENSUS_TETS + 1)],
      "--max-tets"),
     ("invariant_table", ["--q", "2", "--levels", "4"], "coprime"),
+    ("bounds_table", ["--levels", "2", "--max-tets", "1"], "--levels"),
+    ("bounds_table", ["--levels", "5", "-1", "--max-tets", "1"], "--levels"),
+    ("invariant_table", ["--digits", "0", "--max-tets", "1"], "--digits"),
+    ("invariant_table", ["--digits", "-5", "--max-tets", "1"], "--digits"),
 ])
 def test_scripts_reject_bad_arguments_up_front(name, argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
