@@ -4,7 +4,9 @@
 by its file name), the exit code and both output streams.  The inputs are
 the census for n = 1, 2 written as ``census_t{n}_{i:04d}.tri``, at levels
 r = 3..6; the calls are ``compute --json`` (automatic, naive and every
-``--class``), ``enumerate --count-only`` and ``bounds``.
+``--class``), ``enumerate --count-only``, ``bounds`` and ``verify``.
+``verify`` prints the loop coordinates of every symbol it meets, so the
+file also pins ``decompose_symbol`` on the symbols of this census.
 
 A change that alters any of this output on purpose regenerates the file
 with ``python tests/test_cli_golden.py`` (from the repository root, with
@@ -44,6 +46,7 @@ def _calls(named):
                 yield ["compute", *level, "--json", "--class", cls]
             yield ["enumerate", *level, "--count-only"]
             yield ["bounds", *level]
+            yield ["verify", *level]
 
 
 def _run(directory: Path, argv) -> dict:
