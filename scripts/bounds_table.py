@@ -103,8 +103,10 @@ def main(argv=None) -> int:
     ap.add_argument("--json", dest="json_path", default=None,
                     help="also dump every record to this file")
     args = ap.parse_args(argv)
-    if args.max_tets > MAX_CENSUS_TETS:
-        ap.error(f"--max-tets must be at most {MAX_CENSUS_TETS}")
+    if not 1 <= args.max_tets <= MAX_CENSUS_TETS:
+        ap.error(f"--max-tets must be between 1 and {MAX_CENSUS_TETS}")
+    if args.limit is not None and args.limit < 1:
+        ap.error("--limit must be >= 1")
     if min(args.levels) < 3:
         ap.error("--levels must all be >= 3")
 

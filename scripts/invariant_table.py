@@ -49,8 +49,8 @@ def main(argv=None) -> int:
     ap.add_argument("--digits", type=int, default=6,
                     help="decimal digits shown next to each exact value")
     args = ap.parse_args(argv)
-    if args.max_tets > MAX_CENSUS_TETS:
-        ap.error(f"--max-tets must be at most {MAX_CENSUS_TETS}")
+    if not 1 <= args.max_tets <= MAX_CENSUS_TETS:
+        ap.error(f"--max-tets must be between 1 and {MAX_CENSUS_TETS}")
     if args.digits < 1:
         ap.error("--digits must be >= 1")
     for r in args.levels:

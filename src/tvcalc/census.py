@@ -27,7 +27,7 @@ from .triangulation import (
     validate_closed_3manifold,
 )
 
-__all__ = ["enumerate_census", "canonical_form", "canonical_triangulation"]
+__all__ = ["enumerate_census", "canonical_form"]
 
 MAX_CENSUS_TETS = 3
 
@@ -85,11 +85,6 @@ def canonical_form(tri: Triangulation):
     if best is None:
         raise ValueError("disconnected triangulation")
     return best
-
-
-def canonical_triangulation(tri: Triangulation) -> Triangulation:
-    """Rebuild the triangulation from its canonical form."""
-    return _from_form(canonical_form(tri))
 
 
 def _from_form(sig) -> Triangulation:

@@ -283,9 +283,9 @@ def triangle_weight(ctx: FieldContext, a: int, b: int, c: int) -> Cyc:
     return got
 
 
-# local edges are indexed by vertex pairs 01,02,03,12,13,23; the four
-# triangles and three opposite pairs below are fixed by that numbering
-_TET_TRIANGLES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
+# local edges are indexed by vertex pairs 01,02,03,12,13,23; the three
+# quads (pairs of opposite edges) below are fixed by that numbering, and
+# the four triangles are FACE_EDGES
 _TET_QUADS = ((0, 1, 4, 5), (0, 2, 3, 5), (1, 2, 3, 4))
 
 
@@ -304,7 +304,7 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
         return got
     if len(colours) != 6:
         raise ValueError(f"expected 6 colours, got {len(colours)}")
-    for ia, ib, ic in _TET_TRIANGLES:
+    for ia, ib, ic in FACE_EDGES:
         if not admissible_triple(ctx.r, colours[ia], colours[ib],
                                  colours[ic]):
             raise ValueError(
@@ -314,7 +314,7 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
     # the raw tuple missed; the sum reads only the triangle and quad
     # half-sums, so share the value among all tuples with the same ones
     key = (tuple(sorted(sum(colours[k] for k in tri) // 2
-                        for tri in _TET_TRIANGLES)),
+                        for tri in FACE_EDGES)),
            tuple(sorted(sum(colours[k] for k in qd) // 2
                         for qd in _TET_QUADS)))
     got = pool["tet"].get(key)

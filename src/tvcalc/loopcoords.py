@@ -3,9 +3,14 @@
 The six doubled edge colours of a tetrahedron are arranged as a 2x3
 matrix (the intersection symbol) whose columns pair opposite edges.
 Every admissible symbol splits uniquely into loops encircling the four
-vertices plus parallel copies of one further curve type; the weight of
-the tetrahedron has a short alternating-sum expression in these
-coordinates, cross-checked exactly against the edge-colour formula.
+vertices plus p parallel copies of one further curve, which crosses the
+three columns as (i, j, i+j) up to rotation.  The split is read off in
+closed form: the row differences give the vertex counts up to a common
+shift d, and the column of row 1 that holds the largest remainder is
+the sum column, which fixes d.  The symbol's tables all derive from
+`EDGE_VERTICES` and `FACE_EDGES`.  The weight of the tetrahedron has a
+short alternating-sum expression in these coordinates, cross-checked
+exactly against the edge-colour formula.
 """
 
 from __future__ import annotations
@@ -16,7 +21,13 @@ from itertools import product
 
 from .colourings import admissible_triple
 from .cyclotomic import Cyc, FieldContext
-from .triangulation import Skeleton, Triangulation, build_skeleton
+from .triangulation import (
+    EDGE_VERTICES,
+    FACE_EDGES,
+    Skeleton,
+    Triangulation,
+    build_skeleton,
+)
 
 __all__ = [
     "IntersectionSymbol",
@@ -46,20 +57,27 @@ def normal_arc_counts(colours) -> tuple:
     return (h - a, h - b, h - c)
 
 
-# Row 1 holds the colours of the edges of one face in cyclic order,
-# row 2 the colours of the respective opposite edges.  In the local
-# edge numbering 0..5 = (01, 02, 03, 12, 13, 23) that reads:
-_ROW1_EDGES = (0, 3, 1)
-_ROW2_EDGES = (5, 2, 4)
+# The local edge (an index into EDGE_VERTICES) at each cell of the
+# symbol: row 1 holds the edges 01, 12, 02 of face 012 in cyclic order,
+# row 2 their opposite edges 23, 03, 13.
+_CELL_EDGES = ((0, 3, 1), (5, 2, 4))
+# Position in the flattened symbol of each local edge 0..5.
+_EDGE_SLOT = tuple((_CELL_EDGES[0] + _CELL_EDGES[1]).index(k)
+                   for k in range(6))
+# The vertex pair behind each cell; a loop round vertex v crosses the
+# edges at v, so it adds 1 to each cell whose pair holds v.
+_CELL_VERTICES = tuple(tuple(EDGE_VERTICES[k] for k in row)
+                       for row in _CELL_EDGES)
 
-# Per face of the tetrahedron, the symbol positions (row, col) of its
-# three edge colours.  Face f is opposite vertex f.
-_FACE_CELLS = (
-    ((0, 1), (1, 0), (1, 2)),  # face 123: edges 12, 23, 13
-    ((0, 2), (1, 0), (1, 1)),  # face 023: edges 02, 23, 03
-    ((0, 0), (1, 1), (1, 2)),  # face 013: edges 01, 03, 13
-    ((0, 0), (0, 1), (0, 2)),  # face 012: edges 01, 12, 02
-)
+
+def _unbalanced_face(colours):
+    """The first face triple of six doubled colours (local edge order)
+    with an odd sum or a broken triangle inequality, else None."""
+    for face in FACE_EDGES:
+        tri = tuple(colours[k] for k in face)
+        if sum(tri) & 1 or 2 * max(tri) > sum(tri):
+            return tri
+    return None
 
 
 @dataclass(frozen=True)
@@ -75,27 +93,22 @@ class IntersectionSymbol:
             raise ValueError("intersection symbol must be a 2x3 matrix")
         if any(x < 0 for row in rows for x in row):
             raise ValueError("intersection symbol entries must be >= 0")
-        for cells in _FACE_CELLS:
-            tri = tuple(rows[i][j] for i, j in cells)
-            s = sum(tri)
-            if s & 1 or any(2 * x > s for x in tri):
-                raise ValueError(
-                    f"face colours {tri} violate parity or the triangle "
-                    f"inequalities")
+        tri = _unbalanced_face(self.doubled_colours())
+        if tri is not None:
+            raise ValueError(
+                f"face colours {tri} violate parity or the triangle "
+                f"inequalities")
 
     def doubled_colours(self) -> tuple:
         """The six doubled edge colours in local edge order 0..5."""
         flat = self.rows[0] + self.rows[1]
-        pos = {e: k for k, e in enumerate(_ROW1_EDGES + _ROW2_EDGES)}
-        return tuple(flat[pos[e]] for e in range(6))
+        return tuple(flat[k] for k in _EDGE_SLOT)
 
     def admissible(self, r: int) -> bool:
         """All four face triples admissible at level r."""
-        for cells in _FACE_CELLS:
-            tri = tuple(self.rows[i][j] for i, j in cells)
-            if not admissible_triple(r, *tri):
-                return False
-        return True
+        colours = self.doubled_colours()
+        return all(admissible_triple(r, *(colours[k] for k in face))
+                   for face in FACE_EDGES)
 
     def __str__(self) -> str:
         return "[[{},{},{}],[{},{},{}]]".format(*self.rows[0], *self.rows[1])
@@ -107,33 +120,14 @@ def intersection_symbol(source, colouring, tet: int) -> IntersectionSymbol:
     if not (0 <= tet < len(skel.triangulation.gluings)):
         raise ValueError(f"no tetrahedron {tet}")
     local = [colouring[c] for c in skel.tet_edge_classes[tet]]
-    return IntersectionSymbol((
-        tuple(local[e] for e in _ROW1_EDGES),
-        tuple(local[e] for e in _ROW2_EDGES),
-    ))
+    return IntersectionSymbol(
+        tuple(tuple(local[k] for k in row) for row in _CELL_EDGES))
 
 
-# Symbols of a single loop around each local vertex.  A vertex loop
-# crosses exactly the three edges at that vertex.
-_VERTEX_LOOPS = (
-    ((1, 0, 1), (0, 1, 0)),
-    ((1, 1, 0), (0, 0, 1)),
-    ((0, 1, 1), (1, 0, 0)),
-    ((0, 0, 0), (1, 1, 1)),
-)
-
-# Row contribution per vertex-loop count, precomputed columnwise:
-# row 1 of a*A + b*B + c*C + d*D is (a+b, b+c, a+c), row 2 (c+d, a+d, b+d).
-_ROW1_PAIRS = ((0, 1), (1, 2), (0, 2))
-_ROW2_PAIRS = ((2, 3), (0, 3), (1, 3))
-
-
-def _rotation_pattern(i: int, j: int, rotation: int) -> tuple:
-    if rotation == 0:
-        return (i, j, i + j)
-    if rotation == 1:
-        return (i + j, i, j)
-    return (j, i + j, i)
+# Per rotation, the column holding i+j and the two columns holding
+# (i, j), in that order.
+_SUM_COLUMN = (2, 0, 1)
+_PART_COLUMNS = ((0, 1), (1, 2), (2, 0))
 
 
 @dataclass(frozen=True)
@@ -179,83 +173,47 @@ class LoopDecomposition:
 def symbol_of(dec: LoopDecomposition) -> IntersectionSymbol:
     """Reassemble the intersection symbol of a loop system."""
     v = dec.vertex_counts
-    pat = _rotation_pattern(dec.i, dec.j, dec.rotation)
-    row1 = tuple(v[x] + v[y] + dec.p * pat[k]
-                 for k, (x, y) in enumerate(_ROW1_PAIRS))
-    row2 = tuple(v[x] + v[y] + dec.p * pat[k]
-                 for k, (x, y) in enumerate(_ROW2_PAIRS))
-    return IntersectionSymbol((row1, row2))
-
-
-# Which residual column must equal the sum of the other two, per
-# rotation, and which two columns then carry (p*i, p*j).
-_SUM_COLUMN = (2, 0, 1)
-_PART_COLUMNS = ((0, 1), (1, 2), (2, 0))
+    pat = [0, 0, 0]
+    pat[_SUM_COLUMN[dec.rotation]] = dec.i + dec.j
+    x, y = _PART_COLUMNS[dec.rotation]
+    pat[x], pat[y] = dec.i, dec.j
+    return IntersectionSymbol(
+        tuple(tuple(v[u] + v[w] + dec.p * pat[k]
+                    for k, (u, w) in enumerate(pairs))
+              for pairs in _CELL_VERTICES))
 
 
 def decompose_symbol(symbol: IntersectionSymbol) -> LoopDecomposition:
     """Split a symbol into vertex loops and a balanced remainder.
 
-    The row differences fix the vertex counts up to a common shift; for
-    each rotation the balance condition pins the shift, and the
-    remainder must be a non-negative multiple of a coprime pattern.
-    All rotations that succeed must describe the same loop system; the
-    smallest rotation index is returned.
+    Row 1 minus row 2 gives the vertex counts up to a common shift d.
+    Row 1 less those relative counts is s = P + 2d, with P the balanced
+    remainder.  One column of P is the sum of the other two, so it holds
+    P's maximum; the first rotation whose sum column holds max(s) fixes
+    2d = s[x] + s[y] - max(s).  Tied rotations give the same d, so this
+    is the smallest rotation that describes the symbol.
     """
     r1, r2 = symbol.rows
     diff = tuple(r1[k] - r2[k] for k in range(3))
-    # diff = (a+b-c-d, b+c-a-d, a+c-b-d), so pairwise sums are even.
-    twice = (diff[0] + diff[2], diff[0] + diff[1], diff[1] + diff[2])
-    if any(t & 1 for t in twice):
+    # a, b, c each lie on two pairs of row 1 and d on none, so the sum of
+    # diff over the columns at a vertex is twice its count less d; face
+    # parity makes every half here exact.
+    rel = tuple(sum(diff[k] for k, pair in enumerate(_CELL_VERTICES[0])
+                    if v in pair) // 2 for v in range(4))
+    s = tuple(r1[k] - rel[u] - rel[w]
+              for k, (u, w) in enumerate(_CELL_VERTICES[0]))
+    top = max(s)
+    rot = [s[k] for k in _SUM_COLUMN].index(top)
+    x, y = _PART_COLUMNS[rot]
+    twice_d = s[x] + s[y] - top
+    counts = tuple(v + twice_d // 2 for v in rel)
+    part = tuple(e - twice_d for e in s)
+    if twice_d & 1 or min(counts) < 0 or min(part) < 0:
         raise ValueError("symbol admits no decomposition")
-    rel = tuple(t // 2 for t in twice)  # (a-d, b-d, c-d)
-
-    candidates = []
-    for rot in (0, 1, 2):
-        sc = _SUM_COLUMN[rot]
-        # In rotation rot, the pattern entry in column sc is the sum of
-        # the other two, so that column drops out of row 1:
-        # r1[x] + r1[y] - r1[sc] = twice the vertex count shared by
-        # columns x and y.
-        x, y = _PART_COLUMNS[rot]
-        pivot2 = r1[x] + r1[y] - r1[sc]
-        if pivot2 < 0 or pivot2 & 1:
-            continue
-        # Column pairs (0,1), (1,2), (2,0) of row 1 share vertex counts
-        # b, c, a respectively; express d through the pivot.
-        pivot_index = (1, 2, 0)[rot]
-        d = pivot2 // 2 - rel[pivot_index]
-        if d < 0:
-            continue
-        counts = tuple(rel[k] + d for k in range(3)) + (d,)
-        if any(v < 0 for v in counts):
-            continue
-        res1 = tuple(r1[k] - counts[px] - counts[py]
-                     for k, (px, py) in enumerate(_ROW1_PAIRS))
-        res2 = tuple(r2[k] - counts[px] - counts[py]
-                     for k, (px, py) in enumerate(_ROW2_PAIRS))
-        assert res1 == res2, "vertex part must cancel the row difference"
-        if any(e < 0 for e in res1):
-            continue
-        if res1[sc] != res1[x] + res1[y]:
-            continue
-        if res1 == (0, 0, 0):
-            candidates.append(LoopDecomposition(*counts, 0, 0, 0, 0))
-            continue
-        p = math.gcd(res1[x], res1[y])
-        candidates.append(
-            LoopDecomposition(*counts, p, res1[x] // p, res1[y] // p, rot))
-
-    if not candidates:
-        raise ValueError("symbol admits no decomposition")
-    for cand in candidates:
-        assert symbol_of(cand).rows == symbol.rows, \
-            "candidate fails to reconstruct the symbol"
-    first = candidates[0]
-    assert all(c.vertex_counts == first.vertex_counts and c.p == first.p
-               for c in candidates), \
-        "decomposition not unique under canonical form"
-    return first
+    if top == twice_d:
+        return LoopDecomposition(*counts, 0, 0, 0, 0)
+    p = math.gcd(part[x], part[y])
+    return LoopDecomposition(*counts, p, part[x] // p, part[y] // p, rot)
 
 
 _WEIGHT_CACHE: dict = {}
@@ -306,16 +264,7 @@ def iter_admissible_symbols(max_entry: int, r: int | None = None):
         max_entry = min(max_entry, r - 2)
     domain = range(max_entry + 1)
     for flat in product(domain, repeat=6):
-        rows = (flat[:3], flat[3:])
-        ok = True
-        for cells in _FACE_CELLS:
-            tri = tuple(rows[i][j] for i, j in cells)
-            s = sum(tri)
-            if s & 1 or any(2 * x > s for x in tri):
-                ok = False
-                break
-            if r is not None and s > 2 * (r - 2):
-                ok = False
-                break
-        if ok:
-            yield IntersectionSymbol(rows)
+        if _unbalanced_face(tuple(flat[k] for k in _EDGE_SLOT)) is None:
+            sym = IntersectionSymbol((flat[:3], flat[3:]))
+            if r is None or sym.admissible(r):
+                yield sym

@@ -123,7 +123,7 @@ def test_loop_decomposition_validation():
 
 
 def test_decompose_agrees_with_oracle_small():
-    for sym in iter_admissible_symbols(4):
+    for sym in iter_admissible_symbols(6):
         sols = _oracle_decompositions(sym.rows)
         assert sols, f"{sym} has no decomposition"
         dec = decompose_symbol(sym)

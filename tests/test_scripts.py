@@ -49,6 +49,11 @@ def test_invariant_table_rows(capsys):
     ("bounds_table", ["--levels", "5", "-1", "--max-tets", "1"], "--levels"),
     ("invariant_table", ["--digits", "0", "--max-tets", "1"], "--digits"),
     ("invariant_table", ["--digits", "-5", "--max-tets", "1"], "--digits"),
+    ("bounds_table", ["--max-tets", "0"], "--max-tets"),
+    ("bounds_table", ["--limit", "-1", "--max-tets", "1"], "--limit"),
+    ("bounds_table", ["--limit", "0", "--max-tets", "1"], "--limit"),
+    ("invariant_table", ["--max-tets", "0"], "--max-tets"),
+    ("invariant_table", ["--max-tets", "-2"], "--max-tets"),
 ])
 def test_scripts_reject_bad_arguments_up_front(name, argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
