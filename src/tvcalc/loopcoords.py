@@ -75,7 +75,8 @@ def _unbalanced_face(colours):
     with an odd sum or a broken triangle inequality, else None."""
     for face in FACE_EDGES:
         tri = tuple(colours[k] for k in face)
-        if sum(tri) & 1 or 2 * max(tri) > sum(tri):
+        s = sum(tri)
+        if s & 1 or 2 * max(tri) > s:
             return tri
     return None
 
@@ -195,9 +196,9 @@ def decompose_symbol(symbol: IntersectionSymbol) -> LoopDecomposition:
     """
     r1, r2 = symbol.rows
     diff = tuple(r1[k] - r2[k] for k in range(3))
-    # a, b, c each lie on two pairs of row 1 and d on none, so the sum of
-    # diff over the columns at a vertex is twice its count less d; face
-    # parity makes every half here exact.
+    # Vertices 0, 1, 2 each lie on two cells of row 1 and vertex 3 on
+    # none, so the sum of diff over the columns at a vertex is twice its
+    # count less d; face parity makes every half here exact.
     rel = tuple(sum(diff[k] for k, pair in enumerate(_CELL_VERTICES[0])
                     if v in pair) // 2 for v in range(4))
     s = tuple(r1[k] - rel[u] - rel[w]
