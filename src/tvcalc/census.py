@@ -8,10 +8,29 @@ sweep over face pairings with incremental edge-validity pruning.  That
 pruning is the skeleton's own edge rule: each gluing feeds the three edge
 pairs of ``FACE_EDGE_MAPS`` into a copy of the parity ``_UnionFind`` that
 ``build_skeleton`` uses, and a branch ends at the first failed union (an
-edge glued to itself in reverse).
+edge glued to itself in reverse).  The same union-find holds 4n more
+elements, one per tetrahedron corner, and each gluing joins the three
+corner pairs of the glued face, so its roots count the edges E and the
+vertices V of the quotient.
+
+A leaf (every face glued, no edge reversed) is decided by that count
+alone, with no skeleton.  It rests on two facts:
+
+* Each vertex link is a closed connected surface, so its Euler
+  characteristic is at most 2.  Its corner triangles are paired along
+  their sides by the face gluings that define the vertex class, and
+  around each edge end they close up into a single cycle, because no
+  edge is reversed.
+* The links' Euler characteristics sum to 2E - 2n.  Together the links
+  have 4n triangles (one per corner), 6n edges (12n sides, paired) and
+  2E vertices (the two ends of each edge class).
+
+So the sum is at most 2V, and every link is a sphere exactly when
+V - E + n = 0.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .homology import betti_z2
@@ -24,49 +43,75 @@ from .triangulation import (
     make_triangulation,
     perm_compose,
     perm_invert,
-    validate_closed_3manifold,
 )
 
 __all__ = ["enumerate_census", "canonical_form"]
 
-MAX_CENSUS_TETS = 3
+MAX_CENSUS_TETS = 4
 
+@functools.cache
+def _perm_tables():
+    """Permutations by their index in ALL_PERMS (0 is the identity).
 
-def _bfs_relabelling(tri: Triangulation, start: int, start_perm):
-    """Relabel tetrahedra/vertices from a seed, making met gluings identity.
-
-    Returns the relabelled gluing table as a flat tuple signature, or None
-    if the triangulation is disconnected from the seed.
+    Returns (index, compose, inverse): index maps a permutation to its
+    index, compose[a][b] indexes ALL_PERMS[a] after ALL_PERMS[b], and
+    inverse[a] the inverse of ALL_PERMS[a].  Built on first use, as only
+    ``canonical_form`` reads them.
     """
-    n = tri.n
-    order = [start]            # old index of new tet k
-    perms = {start: start_perm}   # old tet -> permutation old labels -> new
-    new_index = {start: 0}
+    index = {p: i for i, p in enumerate(ALL_PERMS)}
+    compose = tuple(tuple(index[perm_compose(p, q)] for q in ALL_PERMS)
+                    for p in ALL_PERMS)
+    inverse = tuple(index[perm_invert(p)] for p in ALL_PERMS)
+    return index, compose, inverse
+
+
+def _relabelling(targets, perms, n: int, start: int, start_perm: int, best,
+                 compose, inverse):
+    """The gluing table relabelled from a seed, unless it is above ``best``.
+
+    Tetrahedra are numbered in breadth-first order from ``start``, whose
+    vertices are relabelled by ``start_perm``; each tetrahedron met for the
+    first time is relabelled so that the gluing reaching it becomes the
+    identity.  Entry 4k + f of the result is 24 t2 + (permutation index)
+    for face f of new tetrahedron k, or -1 for an unglued face, so the
+    entries order as the (t2, index) pairs do.  The walk gives up at the
+    first entry above ``best`` and returns None.
+    """
+    new_index = [-1] * n
+    new_index[start] = 0
+    relabel = [0] * n      # old tet -> index of its relabelling old -> new
+    relabel[start] = start_perm
+    order = [start]        # old index of new tet k; grows while iterated
     table = []
-    k = 0
-    while k < len(order):
-        old_t = order[k]
-        rho = perms[old_t]
-        rho_inv = perm_invert(rho)
-        for new_face in range(4):
-            old_face = rho_inv[new_face]
-            g = tri.gluings[old_t][old_face]
-            if g is None:
-                table.append((-1, -1))
-                continue
-            t2, p = g
-            if t2 not in new_index:
-                new_index[t2] = len(order)
-                order.append(t2)
-                # choose the target labelling that turns this gluing into
-                # the identity permutation
-                perms[t2] = perm_compose(rho, perm_invert(p))
-            sig = perm_compose(perms[t2], perm_compose(p, rho_inv))
-            table.append((new_index[t2], ALL_PERMS.index(sig)))
-        k += 1
+    below = best is None
+    for old in order:
+        rho = relabel[old]
+        rho_inv = inverse[rho]
+        base = 4 * old
+        for old_face in ALL_PERMS[rho_inv]:
+            t2 = targets[base + old_face]
+            if t2 < 0:
+                entry = -1
+            else:
+                p = perms[base + old_face]
+                k = new_index[t2]
+                if k < 0:
+                    k = new_index[t2] = len(order)
+                    order.append(t2)
+                    relabel[t2] = compose[rho][inverse[p]]
+                    entry = 24 * k
+                else:
+                    entry = 24 * k + compose[relabel[t2]][
+                        compose[p][rho_inv]]
+            if not below:
+                other = best[len(table)]
+                if entry > other:
+                    return None
+                below = entry < other
+            table.append(entry)
     if len(order) != n:
-        return None
-    return tuple(table)
+        raise ValueError("disconnected triangulation")
+    return table
 
 
 def canonical_form(tri: Triangulation):
@@ -74,17 +119,23 @@ def canonical_form(tri: Triangulation):
 
     Minimises over all choices of starting tetrahedron and starting vertex
     permutation; two triangulations are combinatorially isomorphic exactly
-    when their canonical forms agree (connected case).
+    when their canonical forms agree (connected case).  The form is a
+    tuple of (t2, index in ALL_PERMS) pairs, (-1, -1) for an unglued face.
     """
+    index, compose, inverse = _perm_tables()
+    targets = [-1 if g is None else g[0] for row in tri.gluings for g in row]
+    perms = [0 if g is None else index[g[1]]
+             for row in tri.gluings for g in row]
     best = None
     for start in range(tri.n):
-        for perm in ALL_PERMS:
-            sig = _bfs_relabelling(tri, start, perm)
-            if sig is not None and (best is None or sig < best):
-                best = sig
+        for start_perm in range(len(ALL_PERMS)):
+            table = _relabelling(targets, perms, tri.n, start, start_perm,
+                                 best, compose, inverse)
+            if table is not None:
+                best = table
     if best is None:
-        raise ValueError("disconnected triangulation")
-    return best
+        raise ValueError("empty triangulation")
+    return tuple((-1, -1) if e < 0 else divmod(e, 24) for e in best)
 
 
 def _from_form(sig) -> Triangulation:
@@ -113,36 +164,20 @@ _PERMS_BY_FACES = {
 }
 
 
-def enumerate_census(tets: int, one_vertex: bool = False,
-                     z2_homology_sphere: bool = False,
-                     limit: int | None = None):
-    """Yield the closed-3-manifold census on exactly ``tets`` tetrahedra.
+def _leaves(n: int):
+    """Yield (gluings, classes) at every closed, edge-valid gluing table.
 
-    Output is up to combinatorial isomorphism, each member given in its
-    canonical labelling, in a deterministic discovery order.  Filters:
-    ``one_vertex`` keeps single-vertex triangulations, ``z2_homology_sphere``
-    keeps those with trivial first Z/2 homology.  ``limit`` stops after
-    that many results, which keeps partial sweeps at the largest sizes
-    affordable.
+    ``gluings`` is the search's own table and ``classes`` its union-find:
+    edges 6t + k, then corners 6n + 4t + u.  Both change once the search
+    resumes, so read them before asking for the next leaf.
     """
-    if not (1 <= tets <= MAX_CENSUS_TETS):
-        raise ValueError(
-            f"census supports 1..{MAX_CENSUS_TETS} tetrahedra, got {tets}")
-    n = tets
     gluings = [[None] * 4 for _ in range(n)]
-    seen: set = set()
-    emitted = 0
+    corners = 6 * n
 
-    def candidates(state, used):
+    def candidates(used):
         # first unglued face
-        spot = None
-        for t in range(used):
-            for f in range(4):
-                if gluings[t][f] is None:
-                    spot = (t, f)
-                    break
-            if spot:
-                break
+        spot = next(((t, f) for t in range(used) for f in range(4)
+                     if gluings[t][f] is None), None)
         if spot is None:
             return None, ()
         t, f = spot
@@ -159,34 +194,11 @@ def enumerate_census(tets: int, one_vertex: bool = False,
             opts.append((used, (0, 1, 2, 3)))
         return spot, opts
 
-    def emit(tri):
-        nonlocal emitted
-        skel = build_skeleton(tri)
-        if not validate_closed_3manifold(skel).is_closed_3manifold:
-            return None
-        # both filters test isomorphism invariants, so they may run first
-        if one_vertex and skel.v != 1:
-            return None
-        if z2_homology_sphere and betti_z2(skel, 1) != 0:
-            return None
-        key = canonical_form(tri)
-        if key in seen:
-            return None
-        seen.add(key)
-        emitted += 1
-        return _from_form(key)
-
     def search(state, used):
-        nonlocal emitted
-        if limit is not None and emitted >= limit:
-            return
-        spot, opts = candidates(state, used)
+        spot, opts = candidates(used)
         if spot is None:
             if used == n:
-                tri = make_triangulation(gluings)
-                result = emit(tri)
-                if result is not None:
-                    yield result
+                yield gluings, state
             return
         t, f = spot
         for t2, p in opts:
@@ -195,12 +207,59 @@ def enumerate_census(tets: int, one_vertex: bool = False,
             if not all(branch.union(6 * t + k, 6 * t2 + k2, flipped)
                        for k, k2, flipped in FACE_EDGE_MAPS[f, p]):
                 continue
+            for u in range(4):
+                if u != f:
+                    branch.union(corners + 4 * t + u, corners + 4 * t2 + p[u])
             gluings[t][f] = (t2, p)
             gluings[t2][f2] = (t, perm_invert(p))
             yield from search(branch, max(used, t2 + 1))
             gluings[t][f] = None
             gluings[t2][f2] = None
-            if limit is not None and emitted >= limit:
-                return
 
-    yield from search(_UnionFind(6 * n), 1)
+    yield from search(_UnionFind(10 * n), 1)
+
+
+def _leaf_vertices(classes: _UnionFind, n: int):
+    """V if the leaf triangulates a closed 3-manifold, else None.
+
+    Counts the roots of the edge and corner elements; every vertex link
+    is a sphere exactly when V - E + n = 0 (see the module docstring).
+    """
+    parent = classes.parent
+    edges = sum(1 for x in range(6 * n) if parent[x] == x)
+    vertices = sum(1 for x in range(6 * n, 10 * n) if parent[x] == x)
+    return vertices if vertices - edges + n == 0 else None
+
+
+def enumerate_census(tets: int, one_vertex: bool = False,
+                     z2_homology_sphere: bool = False,
+                     limit: int | None = None):
+    """Yield the closed-3-manifold census on exactly ``tets`` tetrahedra.
+
+    Output is up to combinatorial isomorphism, each member given in its
+    canonical labelling, in a deterministic discovery order.  Filters:
+    ``one_vertex`` keeps single-vertex triangulations, ``z2_homology_sphere``
+    keeps those with trivial first Z/2 homology.  ``limit`` stops after
+    that many results, which keeps partial sweeps at the largest sizes
+    affordable.
+    """
+    if not (1 <= tets <= MAX_CENSUS_TETS):
+        raise ValueError(
+            f"census supports 1..{MAX_CENSUS_TETS} tetrahedra, got {tets}")
+    seen: set = set()
+    for gluings, classes in _leaves(tets):
+        if limit is not None and len(seen) >= limit:
+            return
+        # both filters test isomorphism invariants, so they run before the
+        # canonical form
+        v = _leaf_vertices(classes, tets)
+        if v is None or (one_vertex and v != 1):
+            continue
+        tri = make_triangulation(gluings)
+        if z2_homology_sphere and betti_z2(build_skeleton(tri), 1) != 0:
+            continue
+        key = canonical_form(tri)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield _from_form(key)
