@@ -22,6 +22,13 @@ Every invariant value comes from one engine, ``_elimination_sum``:
 dynamic programming over tetrahedra that never lists whole colourings.
 ``sweep_sum`` multiplies out the weight of each colouring of a given
 list; it is the engine's independent oracle.
+
+Weights are cached per field context: edge, triangle and tetrahedron
+weights, the head [z+1]! prod_t 1/[z-t]! of each term of the tetrahedron
+sum per (z, triangle half-sums), and the engine's local factors per pair
+of tetrahedron key and edge-and-triangle key.  Every key is built from
+colours or half-sums below r, so each pool is bounded by a function of
+the level (README, Library).
 """
 from __future__ import annotations
 
@@ -227,17 +234,18 @@ def enumerate_admissible(
 # ---------------------------------------------------------------------------
 # weights
 
-# cache pools per (r, q); field contexts are memoised so this never grows
-# beyond the set of levels actually used
+# cache pools per field context; ``field_init`` memoises contexts, so
+# this never grows beyond the levels actually used, and a context made
+# directly gets pools of its own
 _CACHES: dict = {}
 
 
 def _cache(ctx: FieldContext) -> dict:
-    got = _CACHES.get((ctx.r, ctx.q))
+    got = _CACHES.get(ctx)
     if got is None:
         got = {"edge": {}, "triangle": {}, "tet": {}, "tet_raw": {},
-               "local": {}, "vertex": None}
-        _CACHES[(ctx.r, ctx.q)] = got
+               "head": {}, "local": {}, "vertex": None}
+        _CACHES[ctx] = got
     return got
 
 
@@ -297,7 +305,12 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
     sum over the integers z between the largest triangle sum and the
     smallest quad sum (halved colours), empty range giving zero.
     """
-    colours = tuple(colours)
+    return _tet_entry(ctx, tuple(colours))[1]
+
+
+def _tet_entry(ctx: FieldContext, colours: tuple):
+    """(key, value) of ``tetrahedron_weight``: the key is the sorted
+    triangle and quad half-sums, which the value depends on alone."""
     pool = _cache(ctx)
     got = pool["tet_raw"].get(colours)    # checked before it was stored
     if got is not None:
@@ -319,28 +332,34 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
                         for qd in _TET_QUADS)))
     got = pool["tet"].get(key)
     if got is None:
-        got = pool["tet"][key] = _tet_weight_sum(ctx, *key)
+        got = pool["tet"][key] = (key, _tet_weight_sum(ctx, *key))
     pool["tet_raw"][colours] = got
     return got
 
 
 def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
-    """The alternating sum of ``tetrahedron_weight``, uncached, from the
-    triangle and quad half-sums."""
-    lo = max(tri_sums)
-    hi = min(quad_sums)
+    """The alternating sum of ``tetrahedron_weight`` from the sorted
+    triangle and quad half-sums.
+
+    Term z is [z+1]! prod_t 1/[z-t]! prod_Q 1/[Q-z]! with sign (-1)^z.
+    Its head [z+1]! prod_t 1/[z-t]! is cached per (z, triangle sums),
+    which many quad sums share; the quad factors are not, as a
+    (z, quad sums) key rarely repeats.  Terms with z + 1 >= r vanish.
+    Each factorial is the right operand of its product, the one that
+    ``Cyc.__mul__`` keeps packed.
+    """
+    heads = _cache(ctx)["head"]
     total = ctx.zero
-    for z in range(lo, hi + 1):
-        if z + 1 >= ctx.r:
-            continue    # the leading factorial vanishes
-        term = ctx.bracket_factorial(z + 1)
-        for t in tri_sums:
-            term = term * ctx.inverse_bracket_factorial(z - t)
+    for z in range(max(tri_sums), min(min(quad_sums), ctx.r - 2) + 1):
+        term = heads.get((z, tri_sums))
+        if term is None:
+            term = ctx.bracket_factorial(z + 1)
+            for t in tri_sums:
+                term = term * ctx.inverse_bracket_factorial(z - t)
+            heads[z, tri_sums] = term
         for qd in quad_sums:
             term = term * ctx.inverse_bracket_factorial(qd - z)
-        if z & 1:
-            term = -term
-        total = total + term
+        total = total - term if z & 1 else total + term
     return total
 
 
@@ -461,25 +480,30 @@ def _local_factor(ctx: FieldContext, colours: tuple, edges: tuple,
     and of the triangles on ``faces``, all read off the six colours.
 
     The edge and triangle part depends only on the multisets of edge
-    colours and triangle colour triples; it is cached per level under
-    that key, so every step shares it, across calls too.
+    colours and triangle colour triples, and the tetrahedron weight only
+    on its key in the "tet" pool.  The product is cached per level under
+    the pair of those two keys, so every step shares it, across calls
+    too, and the memo never holds more entries than the tet pool times
+    the number of edge and triangle keys.  The edge and triangle part is
+    built only when the pair misses: a pool of its own raised peak RSS
+    with no time gain the benchmark could resolve.
     """
-    tet = tetrahedron_weight(ctx, colours)
+    tet_key, tet = _tet_entry(ctx, colours)
     if tet.is_zero():
         return tet
     key = (tuple(sorted(colours[k] for k in edges)),
            tuple(sorted(tuple(sorted(colours[k] for k in FACE_EDGES[face]))
                         for face in faces)))
     pool = _cache(ctx)["local"]
-    rest = pool.get(key)
-    if rest is None:
+    got = pool.get((tet_key, key))
+    if got is None:
         rest = ctx.one
         for a in key[0]:
             rest = rest * edge_weight(ctx, a)
         for a, b, c in key[1]:
             rest = rest * triangle_weight(ctx, a, b, c)
-        pool[key] = rest
-    return tet * rest
+        got = pool[tet_key, key] = tet * rest
+    return got
 
 
 def _picker(indices):

@@ -11,12 +11,16 @@ display helper ``numeric_eval``.
 Quantum integers and their inverses are weighted sums of powers of zeta,
 read off the table of reduced powers of x with no division.  A product
 folds x^r = -1 before it reduces by Phi_{2r}, which divides x^r + 1.  At
-degree ``KRONECKER_DEGREE`` and above, the product is one big-integer
+degree ``KRONECKER_DEGREE`` and above, when both operands have at least
+``KRONECKER_NONZERO`` nonzero coefficients, the product is one big-integer
 multiply (Kronecker substitution): each coefficient vector is packed into
 an int at a slot width w of bits(max|a|) + bits(max|b|) + bits(deg) + 1
 bits rounded up to whole bytes, and the fold is a split of the product at
-r w bits.  The extended Euclidean algorithm in ``Cyc.invert`` runs only
-for division or negative powers by field elements.
+r w bits.  When the right operand is a bracket factorial or an inverse
+one from the context's tables, the context keeps it packed, once per slot
+width, so the product packs only its left operand; no other value is
+kept packed.  The extended Euclidean algorithm in ``Cyc.invert`` runs
+only for division or negative powers by field elements.
 """
 from __future__ import annotations
 
@@ -80,8 +84,9 @@ class FieldContext:
 
     Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
     root of unity.  Instances cache the reduced powers of x, quantum
-    integers, their inverses and bracket factorials they hand out, and the
-    slot constants of Kronecker products; get one via ``field_init``.
+    integers, their inverses and bracket factorials they hand out, the
+    slot constants of Kronecker products, and the factorials packed for
+    them; get one via ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -116,6 +121,11 @@ class FieldContext:
         self._inv_qint: dict[int, Cyc] = {}
         self._fact: list = [self.one]
         self._inv_fact: list = [self.one]
+        # id of each factorial-table entry -> (inverse, i); the entries
+        # live as long as the context, so no other object shares an id
+        self._factorial_ids: dict[int, tuple] = {id(self.one): (False, 0)}
+        # slot bytes -> {(inverse, i): that entry packed at this width}
+        self._packed: dict[int, dict] = {}
 
     def _reduce_shift(self, coeffs: list) -> list:
         """Multiply by x and reduce modulo the (monic) minimal polynomial."""
@@ -219,7 +229,9 @@ class FieldContext:
             raise ValueError("bracket factorials need i >= 0")
         while len(self._fact) <= i:
             k = len(self._fact)
-            self._fact.append(self._fact[-1] * self.quantum_integer(k))
+            entry = self._fact[-1] * self.quantum_integer(k)
+            self._factorial_ids[id(entry)] = (False, k)
+            self._fact.append(entry)
         return self._fact[i]
 
     def inverse_bracket_factorial(self, i: int) -> "Cyc":
@@ -228,8 +240,9 @@ class FieldContext:
             raise ValueError(f"[{i}]! is zero or undefined, cannot invert")
         while len(self._inv_fact) <= i:
             k = len(self._inv_fact)
-            self._inv_fact.append(self._inv_fact[-1]
-                                  * self.inverse_quantum_integer(k))
+            entry = self._inv_fact[-1] * self.inverse_quantum_integer(k)
+            self._factorial_ids[id(entry)] = (True, k)
+            self._inv_fact.append(entry)
         return self._inv_fact[i]
 
 
@@ -238,17 +251,22 @@ def field_init(r: int, q: int) -> FieldContext:
     return FieldContext(r, q)
 
 
-# Products at this degree and above go through one big-integer multiply
-# (Kronecker substitution); below it the schoolbook loop is faster.  The
-# crossover was measured on products of bracket factorials and their
-# inverses: at prime r the two are about even at degrees 10 and 12, and
-# Kronecker is 1.25-2 times faster at 16 (README, Library).
+# Products at this degree and above, of operands with at least this many
+# nonzero coefficients each, go through one big-integer multiply
+# (Kronecker substitution); otherwise the schoolbook loop, which skips
+# zero coefficients, is faster.  The crossover was measured on products
+# of bracket factorials and their inverses: at prime r the two are about
+# even at degrees 10 and 12 and Kronecker is faster from 16; at even r,
+# where half the coefficients are zero, the schoolbook loop wins below
+# about 10 nonzero coefficients per operand (README, Library).
 KRONECKER_DEGREE = 16
+KRONECKER_NONZERO = 10
 
 
-def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple):
-    """The product of the coefficient vectors a and b modulo x^r + 1, as r
-    integers, or None when a or b is zero.
+def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple, b_key=None):
+    """The product of the nonzero coefficient vectors a and b modulo
+    x^r + 1, as r integers.  ``b_key`` is b's (inverse, i) when b is a
+    factorial-table entry: its packed form is then kept on the context.
 
     Each vector is packed into one int with coefficient i at bit w*i, so a
     single multiply gives the convolution.  A coefficient of the product
@@ -260,8 +278,6 @@ def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple):
     """
     ma = max(max(a), -min(a))
     mb = max(max(b), -min(b))
-    if not (ma and mb):
-        return None
     r = ctx.r
     bits = ma.bit_length() + mb.bit_length() + ctx.degree.bit_length()
     wb = (bits + 8) >> 3
@@ -272,7 +288,14 @@ def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple):
         return int.from_bytes(b"".join([(c + half).to_bytes(wb, "little")
                                         for c in vec]), "little") - pack_off
 
-    prod = pack(a) * pack(b)
+    if b_key is None:
+        packed_b = pack(b)
+    else:
+        store = ctx._packed.setdefault(wb, {})
+        packed_b = store.get(b_key)
+        if packed_b is None:
+            packed_b = store[b_key] = pack(b)
+    prod = pack(a) * packed_b
     # x^r = -1: the low r slots, taken balanced, minus the slots above
     # them.  Their signed sum is below 2^(rw - 1) in absolute value, so
     # the balanced residue modulo 2^(rw) is exactly the low part.
@@ -373,17 +396,18 @@ class Cyc:
         ctx = self.ctx
         deg = ctx.degree
         a, b = self.num, other.num
-        if deg >= KRONECKER_DEGREE:
-            conv = _kronecker_folded(ctx, a, b)
-            if conv is None:
-                return ctx.zero
+        if (deg >= KRONECKER_DEGREE
+                and deg - a.count(0) >= KRONECKER_NONZERO
+                and deg - b.count(0) >= KRONECKER_NONZERO):
+            conv = _kronecker_folded(ctx, a, b,
+                                     ctx._factorial_ids.get(id(other)))
         else:
             conv = [0] * (2 * deg - 1)
+            terms_b = [(j, y) for j, y in enumerate(b) if y]
             for i, x in enumerate(a):
                 if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            conv[i + j] += x * y
+                    for j, y in terms_b:
+                        conv[i + j] += x * y
             # x^r = -1 because Phi_2r divides x^r + 1: fold, then reduce
             # the rest (nothing at r = 2^k, one step at prime r)
             r = ctx.r

@@ -217,6 +217,7 @@ def decompose_symbol(symbol: IntersectionSymbol) -> LoopDecomposition:
     return LoopDecomposition(*counts, p, part[x] // p, part[y] // p, rot)
 
 
+# weights per field context, as the pools of ``colourings``
 _WEIGHT_CACHE: dict = {}
 
 
@@ -227,7 +228,7 @@ def tet_weight_loop(ctx: FieldContext, dec: LoopDecomposition) -> Cyc:
     Agrees exactly with the edge-colour formula on the six colours of
     symbol_of(dec).
     """
-    pool = _WEIGHT_CACHE.setdefault((ctx.r, ctx.q), {})
+    pool = _WEIGHT_CACHE.setdefault(ctx, {})
     pi, pj = dec.p * dec.i, dec.p * dec.j
     key = (tuple(sorted(dec.vertex_counts)), min(pi, pj), max(pi, pj))
     got = pool.get(key)

@@ -1,6 +1,7 @@
 import math
+import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +22,15 @@ from tvcalc import (
     tv,
     tv_at_class,
 )
-from tvcalc.colourings import WeightSystem, _search_plan, edge_weight, \
-    triangle_weight, vertex_weight
+from tvcalc.colourings import WeightSystem, _cache, _search_plan, \
+    edge_weight, triangle_weight, vertex_weight
+from tvcalc.cyclotomic import KRONECKER_DEGREE, KRONECKER_NONZERO, Cyc, \
+    FieldContext
 from tvcalc.fastalgo import adm4_structured
-from tvcalc.triangulation import make_triangulation
+from tvcalc.loopcoords import IntersectionSymbol, decompose_symbol, \
+    tet_weight_loop
+from tvcalc.triangulation import ALL_PERMS, EDGE_INDEX, EDGE_VERTICES, \
+    make_triangulation
 
 
 def _oracle_triple(r, a, b, c):
@@ -231,18 +237,131 @@ def test_tetrahedron_weight_rejects_inadmissible():
         tetrahedron_weight(ctx, (1, 0, 0, 0, 0, 0))
 
 
+def _relabelled(colours, perm):
+    """The six edge colours after the corners are relabelled by perm."""
+    mapped = [0] * 6
+    for k, (u, v) in enumerate(EDGE_VERTICES):
+        mapped[EDGE_INDEX[tuple(sorted((perm[u], perm[v])))]] = colours[k]
+    return tuple(mapped)
+
+
 def test_tetrahedron_weight_relabelling_invariance():
     # relabelling the four corners permutes the six edge colours
-    from tvcalc.triangulation import ALL_PERMS, EDGE_INDEX, EDGE_VERTICES
     ctx = field_init(7, 1)
     colours = (2, 4, 2, 2, 2, 4)
     base = tetrahedron_weight(ctx, colours)
     for perm in ALL_PERMS:
-        mapped = [0] * 6
-        for k, (u, v) in enumerate(EDGE_VERTICES):
-            uu, vv = sorted((perm[u], perm[v]))
-            mapped[EDGE_INDEX[(uu, vv)]] = colours[k]
-        assert tetrahedron_weight(ctx, tuple(mapped)) == base
+        assert tetrahedron_weight(ctx, _relabelled(colours, perm)) == base
+
+
+# faces as the edges among three corners; quads as the complement of a
+# pair of opposite edges (no shared corner)
+_ORACLE_FACES = [[k for k, e in enumerate(EDGE_VERTICES) if set(e) <= set(f)]
+                 for f in combinations(range(4), 3)]
+_ORACLE_OPPOSITE = [(k, m) for k, m in combinations(range(6), 2)
+                    if not set(EDGE_VERTICES[k]) & set(EDGE_VERTICES[m])]
+
+
+def _oracle_tet_weight(ctx, colours, fact, inv_fact):
+    """The Kirby-Melvin alternating sum, uncached: plain products of
+    factorials built here from the quantum integers."""
+    tri = [sum(colours[k] for k in face) // 2 for face in _ORACLE_FACES]
+    quad = [(sum(colours) - colours[k] - colours[m]) // 2
+            for k, m in _ORACLE_OPPOSITE]
+    total = ctx.zero
+    for z in range(max(tri), min(quad) + 1):
+        if z + 1 >= ctx.r:
+            break               # [z+1]! = 0 from here on
+        term = fact[z + 1]
+        for t in tri:
+            term = term * inv_fact[z - t]
+        for quad_sum in quad:
+            term = term * inv_fact[quad_sum - z]
+        total = total - term if z % 2 else total + term
+    return total
+
+
+def _admissible_tet_colours(r, rng, count):
+    """``count`` seeded colourings of one tetrahedron, all four faces
+    admissible, the zero colouring first."""
+    found = [(0,) * 6]
+    while len(found) < count:
+        colours = tuple(rng.randrange(r - 1) for _ in range(6))
+        if colours not in found and all(
+                _oracle_triple(r, *(colours[k] for k in face))
+                for face in _ORACLE_FACES):
+            found.append(colours)
+    return found
+
+
+@pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 31, 36])
+def test_cached_tet_weights_match_uncached_oracle(r):
+    # prime, odd composite and even levels (the inverse factorials have
+    # denominators at composite r), below and above KRONECKER_DEGREE.
+    # Each pass starts from a fresh context, so fresh weight pools and
+    # packed factorials; the second warms them with relabelled colourings
+    # in reverse order first, so a cache key that drops what the value
+    # depends on fails.
+    rng = random.Random(r)
+    samples = _admissible_tet_colours(r, rng, 24)
+    ctx = FieldContext(r, 1)
+    fact, inv_fact = [ctx.one], [ctx.one]
+    for k in range(1, r):
+        fact.append(fact[-1] * ctx.quantum_integer(k))
+        inv_fact.append(inv_fact[-1] * ctx.inverse_quantum_integer(k))
+    want = []
+    for colours in samples:
+        value = _oracle_tet_weight(ctx, colours, fact, inv_fact)
+        want.append((value.num, value.den))
+    assert any(f.den > 1 for f in inv_fact) == (r in (6, 9, 12, 36))
+
+    for warm in (False, True):
+        ctx = FieldContext(r, 1)
+        if warm:
+            for colours in reversed(samples):
+                tetrahedron_weight(
+                    ctx, _relabelled(colours, rng.choice(ALL_PERMS)))
+            assert _cache(ctx)["head"]
+        for colours, (num, den) in zip(samples, want):
+            got = tetrahedron_weight(ctx, colours)
+            assert (got.num, got.den) == (num, den), colours
+            c = colours
+            symbol = IntersectionSymbol(((c[0], c[3], c[1]),
+                                         (c[5], c[2], c[4])))
+            assert symbol.doubled_colours() == colours
+            loop = tet_weight_loop(ctx, decompose_symbol(symbol))
+            assert (loop.num, loop.den) == (num, den), colours
+
+
+def test_weight_caches_stay_bounded(census1):
+    # after a one-tetrahedron invariant at r = 23 the context keeps only
+    # bracket factorials and their inverses packed, at most 2r per slot
+    # width; a product whose right operand is a transient value, here a
+    # Kronecker product with a factorial on the left, packs nothing
+    r = 23
+    tri = next(t for t in census1 if build_skeleton(t).v == 1)
+    value = tv(tri, r)
+    ctx = value.ctx
+    assert ctx._packed
+    for wb, store in ctx._packed.items():
+        assert len(store) <= 2 * r
+        for (inverse, i), packed in store.items():
+            factorial = (ctx.inverse_bracket_factorial(i) if inverse
+                         else ctx.bracket_factorial(i))
+            assert packed == sum(c << (8 * wb * k)
+                                 for k, c in enumerate(factorial.num))
+    before = {wb: dict(store) for wb, store in ctx._packed.items()}
+    dense = Cyc(ctx, tuple(range(1, ctx.degree + 1)))
+    assert ctx.degree >= max(KRONECKER_DEGREE, KRONECKER_NONZERO)
+    assert ctx.bracket_factorial(r - 1) * (dense * dense) != ctx.zero
+    assert ctx._packed == before
+
+    pool = _cache(ctx)
+    assert pool["local"]
+    tet_keys = {tet_key for tet_key, _ in pool["local"]}
+    rest_keys = {rest_key for _, rest_key in pool["local"]}
+    assert tet_keys <= set(pool["tet"])
+    assert len(pool["local"]) <= len(pool["tet"]) * len(rest_keys)
 
 
 def test_colouring_weight_rejects_inadmissible(census1):

@@ -277,6 +277,26 @@ def test_product_fills_its_slots(r):
     _assert_schoolbook(a, b)
 
 
+@pytest.mark.parametrize("r", [17, 36, 40])
+def test_products_by_packed_factorials(r):
+    # a factorial-table entry as the right operand is packed once per
+    # slot width and then reused; prime and even levels, with left
+    # operands of several sizes so that several slot widths occur
+    ctx = FieldContext(r, 1)
+    rng = random.Random(r)
+    for _ in range(10):
+        bits = rng.randint(1, 90)
+        a = ctx.from_fractions([Fraction(rng.randint(-2**bits, 2**bits),
+                                         rng.randint(1, 9))
+                                for _ in range(ctx.degree)])
+        for i in (rng.randrange(r), rng.randrange(r)):
+            for f in (ctx.bracket_factorial(i),
+                      ctx.inverse_bracket_factorial(i)):
+                _assert_schoolbook(a, f)
+                _assert_schoolbook(a, f)
+    assert len(ctx._packed) > 1
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_conjugation_is_a_ring_map(data):
