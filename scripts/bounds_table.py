@@ -13,81 +13,55 @@ import argparse
 import json
 import statistics
 import sys
-from dataclasses import dataclass, field
 
-from tvcalc import (
-    bounds,
-    build_skeleton,
-    enumerate_admissible,
-    enumerate_census,
-)
+from tvcalc import bounds, enumerate_census
 from tvcalc.census import MAX_CENSUS_TETS
 
 
-@dataclass
-class SurveyConfig:
-    max_tets: int = 2
-    levels: tuple = (5, 6, 7)
-    json_path: str | None = None
-    rows: bool = False
-    census_limit: int | None = None
-    records: list = field(default_factory=list)
-
-
-def small_level_cap(n: int, r: int) -> int | None:
-    """The 2^n + 1 cap at r = 5, the 3^n + 1 cap at r = 6, 7, else None
-    (no cap, so never attained)."""
-    return {5: 2 ** n + 1, 6: 3 ** n + 1, 7: 3 ** n + 1}.get(r)
-
-
-def survey_small_levels(cfg: SurveyConfig) -> None:
+def survey_small_levels(args, records: list) -> None:
     print("one-vertex Z/2-homology-sphere census, counts at r = "
-          + ", ".join(map(str, cfg.levels)))
+          + ", ".join(map(str, args.levels)))
     header = f"{'n':>2} {'#trig':>6} " + " ".join(
-        f"{'mean|Adm' + str(r) + '|':>11}" for r in cfg.levels) + f" {'#sharp':>7}"
+        f"{'mean|Adm' + str(r) + '|':>11}" for r in args.levels) + f" {'#sharp':>7}"
     print(header)
-    for n in range(1, cfg.max_tets + 1):
+    for n in range(1, args.max_tets + 1):
         corpus = list(enumerate_census(
-            n, one_vertex=True, z2_homology_sphere=True,
-            limit=cfg.census_limit))
+            n, one_vertex=True, z2_homology_sphere=True, limit=args.limit))
         if not corpus:
             print(f"{n:>2} {0:>6}")
             continue
-        counts = [
-            tuple(len(enumerate_admissible(build_skeleton(tri), r)[0])
-                  for r in cfg.levels)
-            for tri in corpus
-        ]
-        caps = tuple(small_level_cap(n, r) for r in cfg.levels)
+        reports = [[bounds(tri, r) for r in args.levels] for tri in corpus]
+        counts = [tuple(rep.actual for rep in row) for row in reports]
+        # the cap depends on n and r alone; None where a level has none
+        caps = tuple(rep.small_level_bound for rep in reports[0])
         sharp = sum(1 for row in counts if row == caps)
         means = [statistics.mean(col) for col in zip(*counts)]
         print(f"{n:>2} {len(corpus):>6} "
               + " ".join(f"{m:>11.2f}" for m in means)
               + f" {sharp:>7}")
-        cfg.records.append({
+        records.append({
             "table": "small_levels", "tets": n, "size": len(corpus),
             "means": means, "caps": list(caps), "sharp": sharp,
         })
-        if cfg.rows:
+        if args.rows:
             for i, row in enumerate(counts):
                 mark = " <- attains every cap" if row == caps else ""
                 print(f"     #{i:03d}: {row}{mark}")
 
 
-def survey_level4(cfg: SurveyConfig) -> None:
+def survey_level4(args, records: list) -> None:
     print()
     print("closed census, level-4 count against the cocycle bounds")
     print(f"{'n':>2} {'idx':>4} {'beta1':>5} {'actual':>6} "
           f"{'kernel_sum':>10} {'coarse':>7} {'naive':>8} sharp")
-    for n in range(1, cfg.max_tets + 1):
-        for idx, tri in enumerate(enumerate_census(
-                n, limit=cfg.census_limit)):
+    for n in range(1, args.max_tets + 1):
+        for idx, tri in enumerate(enumerate_census(n, limit=args.limit)):
             report = bounds(tri, 4)
             print(f"{n:>2} {idx:>4} {report.beta1:>5} {report.actual:>6} "
                   f"{report.kernel_sum_bound:>10} "
                   f"{report.coarse_cocycle_bound:>7} {report.naive:>8} "
                   + ",".join(report.sharp))
-            cfg.records.append(
+            records.append(
                 {"table": "level4", "tets": n, "index": idx}
                 | report.to_json_dict())
 
@@ -110,15 +84,13 @@ def main(argv=None) -> int:
     if min(args.levels) < 3:
         ap.error("--levels must all be >= 3")
 
-    cfg = SurveyConfig(max_tets=args.max_tets, levels=tuple(args.levels),
-                       json_path=args.json_path, rows=args.rows,
-                       census_limit=args.limit)
-    survey_small_levels(cfg)
-    survey_level4(cfg)
-    if cfg.json_path:
-        with open(cfg.json_path, "w") as handle:
-            json.dump(cfg.records, handle, indent=2, sort_keys=True)
-        print(f"\nwrote {len(cfg.records)} records to {cfg.json_path}")
+    records = []
+    survey_small_levels(args, records)
+    survey_level4(args, records)
+    if args.json_path:
+        with open(args.json_path, "w") as handle:
+            json.dump(records, handle, indent=2, sort_keys=True)
+        print(f"\nwrote {len(records)} records to {args.json_path}")
     return 0
 
 

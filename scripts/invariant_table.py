@@ -9,7 +9,6 @@ manifolds that homology alone does not.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import mpmath
 
@@ -25,19 +24,10 @@ from tvcalc.census import MAX_CENSUS_TETS
 from tvcalc.homology import h1_integral
 
 
-@dataclass
-class TableConfig:
-    max_tets: int = 2
-    levels: tuple = (3, 4, 5, 7)
-    q: int = 1
-    one_vertex: bool = False
-    digits: int = 6
-
-
-def value(skel, r: int, cfg: TableConfig):
-    if r % 2 == 1 and cfg.q == 1 and skel.v == 1:
+def value(skel, r: int, q: int):
+    if r % 2 == 1 and q == 1 and skel.v == 1:
         return tv_odd_fast(skel, r)
-    return tv(skel, r, cfg.q)
+    return tv(skel, r, q)
 
 
 def main(argv=None) -> int:
@@ -58,21 +48,18 @@ def main(argv=None) -> int:
             field_init(r, args.q)
         except ValueError as exc:
             ap.error(str(exc))
-    cfg = TableConfig(max_tets=args.max_tets, levels=tuple(args.levels),
-                      q=args.q, one_vertex=args.one_vertex,
-                      digits=args.digits)
 
-    for n in range(1, cfg.max_tets + 1):
+    for n in range(1, args.max_tets + 1):
         for idx, tri in enumerate(enumerate_census(
-                n, one_vertex=cfg.one_vertex)):
+                n, one_vertex=args.one_vertex)):
             skel = build_skeleton(tri)
             h1 = str(h1_integral(skel))
             cells = []
-            for r in cfg.levels:
-                val = value(skel, r, cfg)
-                approx = numeric_eval(val, cfg.digits + 5)
+            for r in args.levels:
+                val = value(skel, r, args.q)
+                approx = numeric_eval(val, args.digits + 5)
                 cells.append(
-                    f"r={r}: {val} ~ {mpmath.nstr(approx.real, cfg.digits)}")
+                    f"r={r}: {val} ~ {mpmath.nstr(approx.real, args.digits)}")
             print(f"n={n} #{idx:03d} v={skel.v} H1={h1:<6} "
                   + " | ".join(cells))
     return 0

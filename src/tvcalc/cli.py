@@ -21,11 +21,13 @@ import mpmath
 from .census import MAX_CENSUS_TETS, enumerate_census
 from .colourings import (
     _checked_skeleton,
-    _elimination_sum,
     admissible_colouring,
     enumerate_admissible,
     state_sum,
     sweep_sum,
+    tetrahedron_weight,
+    tv,
+    tv_at_class,
 )
 from .cyclotomic import field_init, numeric_eval
 from .fastalgo import adm4_structured, bounds, tv_odd_fast
@@ -37,7 +39,6 @@ from .loopcoords import (
     symbol_of,
     tet_weight_loop,
 )
-from .colourings import tetrahedron_weight, tv, tv_at_class
 from .triangulation import parse_triangulation, serialise_triangulation
 
 USAGE = 2
@@ -131,7 +132,7 @@ def _choose_algorithm(args, skel) -> str | None:
             return None
         return "tv4"
     if explicit == "odd-fast":
-        if args.r % 2 == 0 or args.r < 3:
+        if args.r % 2 == 0:
             _fail_usage("--algorithm odd-fast requires odd r >= 3")
             return None
         if args.q != 1:
@@ -178,11 +179,11 @@ def _cmd_compute(args) -> int:
         return USAGE
 
     # every value comes from the elimination engine (odd-fast runs it on
-    # the integer colours and rescales); the algorithm picks the search
+    # the zero class and rescales); the algorithm picks the search
     # behind the reported counts
     start = time.perf_counter()
     if algorithm == "tv4":
-        value = _elimination_sum(skel, 4, args.q)
+        value = tv(skel, 4, args.q)
         _, stats = adm4_structured(skel)
     elif algorithm == "odd-fast":
         value = tv_odd_fast(skel, args.r)

@@ -20,8 +20,10 @@ build a candidate and are not counted.
 
 Every invariant value comes from one engine, ``_elimination_sum``:
 dynamic programming over tetrahedra that never lists whole colourings.
-``sweep_sum`` multiplies out the weight of each colouring of a given
-list; it is the engine's independent oracle.
+Its only restriction is a Z/2 cohomology class; on a one-vertex
+skeleton the zero class is the whole-colour sum.  ``sweep_sum``
+multiplies out the weight of each colouring of a given list; it is the
+engine's independent oracle.
 
 Weights are cached per field context: edge, triangle and tetrahedron
 weights, the head [z+1]! prod_t 1/[z-t]! of each term of the tetrahedron
@@ -517,7 +519,7 @@ def _picker(indices):
 
 
 def _elimination_sum(skel: Skeleton, r: int, q: int,
-                     integer_only: bool = False, class_coords=None) -> Cyc:
+                     class_coords=None) -> Cyc:
     """State sum by dynamic programming over tetrahedra.
 
     The fixed-parameter algorithm of Burton, Maria and Spreer
@@ -530,19 +532,24 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
     triangle weights, the tetrahedron weight), and sums out the edge
     classes the tetrahedron finishes.  ``reduce_colouring`` is linear,
     so the class bits are an XOR of per-edge contributions over the odd
-    colours.  The vertex factor comes in once at the end.
+    colours.  The vertex factor comes in once at the end.  On a
+    one-vertex skeleton the zero class holds exactly the whole-colour
+    colourings, so only the even colours are tried there.
 
     Equals ``sweep_sum`` over ``enumerate_admissible`` with the same
-    ``integer_only`` and ``class_coords``.
+    ``class_coords``.
     """
     ctx = field_init(r, q)
-    domain = _domain(r, integer_only)
+    integer_only = False
     edge_bits = [0] * skel.e
     target = 0
     if class_coords is not None:
         basis = cocycle_space_1(skel)
         target = _class_target(basis, class_coords)
         edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
+        # no coboundaries: the odd edges form a cocycle, zero only if empty
+        integer_only = target == 0 and basis.coboundary_dim == 0
+    domain = _domain(r, integer_only)
 
     table = {(0,): ctx.one}     # key: active colours, then class bits
     active = []
@@ -604,23 +611,15 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
     return total * vertex_weight(ctx) ** skel.v
 
 
-def state_sum(
-    source,
-    r: int,
-    q: int = 1,
-    class_coords=None,
-    integer_only: bool = False,
-):
+def state_sum(source, r: int, q: int = 1, class_coords=None):
     """Exact invariant value plus the statistics of the colouring search.
 
     The value comes from the elimination engine; the statistics from
-    ``enumerate_admissible`` with the same restrictions.
+    ``enumerate_admissible`` with the same class.
     """
     skel = _checked_skeleton(source)
-    _, stats = enumerate_admissible(
-        skel, r, integer_only=integer_only, class_coords=class_coords)
-    value = _elimination_sum(skel, r, q, integer_only=integer_only,
-                             class_coords=class_coords)
+    _, stats = enumerate_admissible(skel, r, class_coords=class_coords)
+    value = _elimination_sum(skel, r, q, class_coords=class_coords)
     return value, stats
 
 

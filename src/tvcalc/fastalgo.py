@@ -6,8 +6,8 @@ set: colour 1 on edge class j).  Each level-4 colouring reduces mod 2
 to one of them, which turns the level-4 search into small independent
 searches over the zero-coloured edges of each cocycle.  For odd levels
 on one-vertex triangulations the state sum factors through the level-3
-invariant and the integer-coloured part, so only even colours need
-summing.
+invariant and the zero-class part, which on one vertex is the sum over
+whole colours, so only even colours need summing.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from .colourings import (
     WeightSystem,
     _backtrack,
     _checked_skeleton,
-    _elimination_sum,
     enumerate_admissible,
     sweep_sum,
+    tv,
+    tv_at_class,
 )
 from .cyclotomic import Cyc, field_init
 from .homology import cocycle_space_1
@@ -96,11 +97,12 @@ def tv4_structured(source, q: int = 1) -> Cyc:
 def tv_odd_fast(source, r: int) -> Cyc:
     """Odd-level invariant of a one-vertex triangulation at q = 1.
 
-    The state sum splits as the level-3 invariant times the sum over
-    integer colourings (the trivial-class part), divided by the
-    trivial-class part at level 3, which is the weight of the zero
-    colouring.  Only the even colours are summed at level r, at most
-    floor(r/2) per edge instead of r - 1.
+    The state sum splits as the level-3 invariant times the
+    trivial-class part, divided by the trivial-class part at level 3,
+    which is the weight of the zero colouring.  With one vertex the
+    trivial class holds exactly the integer colourings, so the engine
+    sums only the even colours at level r, at most floor(r/2) per edge
+    instead of r - 1.
     """
     if r < 3 or r % 2 == 0:
         raise ValueError("the fast algorithm needs an odd level r >= 3")
@@ -110,16 +112,14 @@ def tv_odd_fast(source, r: int) -> Cyc:
             "the fast algorithm needs a one-vertex triangulation; "
             "retriangulate or use the plain state sum")
 
-    level3 = _elimination_sum(skel, 3, 1)
-    if r == 3:
-        return level3
+    level3 = tv(skel, 3)
     assert level3.is_rational(), "level-3 weights are rational"
 
     zero_weight = WeightSystem(skel, 3, 1).colouring_weight((0,) * skel.e)
     scale = level3.as_rational() / zero_weight.as_rational()
 
-    integer_part = _elimination_sum(skel, r, 1, integer_only=True)
-    return integer_part * field_init(r, 1).from_rational(scale)
+    trivial = tv_at_class(skel, r, 1, (0,) * cocycle_space_1(skel).beta1)
+    return trivial * field_init(r, 1).from_rational(scale)
 
 
 @dataclass(frozen=True)

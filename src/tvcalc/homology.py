@@ -208,7 +208,8 @@ class CocycleBasis:
 def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
     """Basis of ker(delta^1 -> C^2), coboundaries first.
 
-    For a connected closed skeleton the dimension is v - 1 + beta1.
+    For a connected skeleton the dimension is v - 1 + beta1, so beta1 is
+    read off the basis.
     """
     if betti_z2(skel, 0) != 1:
         raise ValueError("skeleton is not connected")
@@ -224,7 +225,6 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
     # a closed complex).
     cob = boundary_matrix_z2(skel, 1).rows[:skel.v - 1]
 
-    beta1 = betti_z2(skel, 1)
     # Greedily extend the coboundaries by kernel vectors independent of the
     # span so far; every coboundary must be independent.  Each reduced row
     # remembers the combination of basis vectors that produced it.
@@ -241,14 +241,10 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
             vectors.append(vec)
         elif i < len(cob):
             raise ValueError("coboundary vectors are dependent")
-    if len(vectors) != skel.v - 1 + beta1:
-        raise ValueError(
-            f"cocycle space has dimension {len(vectors)}, "
-            f"expected {skel.v - 1 + beta1}")
     return CocycleBasis(
         n_edges=skel.e,
         coboundary_dim=skel.v - 1,
-        beta1=beta1,
+        beta1=len(vectors) - (skel.v - 1),
         vectors=tuple(vectors),
         rows=tuple(rows),
     )

@@ -155,7 +155,7 @@ def test_integer_only_node_savings(one_vertex_corpus):
 
 
 def test_state_sum_exposes_stats(census1):
-    value, stats = state_sum(census1[1], 5, 1, integer_only=True)
+    value, stats = state_sum(census1[1], 5, 1, class_coords=())
     direct = tv_odd_fast(census1[1], 5)
     assert stats.admissible_count >= 1
     assert value.ctx is direct.ctx
