@@ -21,6 +21,7 @@ import mpmath
 from .census import MAX_CENSUS_TETS, enumerate_census
 from .colourings import (
     _checked_skeleton,
+    _derived,
     admissible_colouring,
     enumerate_admissible,
     state_sum,
@@ -167,7 +168,7 @@ def _cmd_compute(args) -> int:
 
     class_coords = None
     if args.class_bits is not None:
-        basis = cocycle_space_1(skel)
+        basis = _derived(skel, cocycle_space_1)
         bits = args.class_bits
         if len(bits) != basis.beta1 or any(ch not in "01" for ch in bits):
             return _fail_usage(
@@ -273,7 +274,7 @@ def _run_verify(skel, r: int) -> int:
         if not passed:
             failures += 1
 
-    basis = cocycle_space_1(skel)
+    basis = _derived(skel, cocycle_space_1)
     level3, _ = enumerate_admissible(skel, 3)
     check("level-3 count is 2^(v-1+beta1)",
           len(level3) == 1 << (skel.v - 1 + basis.beta1),

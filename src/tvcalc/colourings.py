@@ -9,11 +9,13 @@ the invariant is the exact cyclotomic sum of per-colouring weights, one
 factor per vertex, edge, triangle and tetrahedron class.
 
 One backtracking walker, ``_backtrack``, fills given slots of a colour
-list in order and tests each triangle once its last slot has a colour.
-It is the search behind ``enumerate_admissible`` (all edges, in an order
-chosen so triangles complete as early as possible), behind each step of
-the elimination engine (a tetrahedron's new edges) and behind the
-level-4 cocycle walk of ``fastalgo``.  ``EnumerationStats.nodes_visited``
+list in order and tests each triangle once its last slot has a colour,
+against a per-level lookup of the admissible third colours of each
+pair (``_third_colours``).  It is the search behind
+``enumerate_admissible`` (all edges, in an order chosen so triangles
+complete as early as possible), behind each step of the elimination
+engine (a tetrahedron's new edges) and behind the level-4 cocycle walk
+of ``fastalgo``.  ``EnumerationStats.nodes_visited``
 counts the fully assigned candidates it builds: every value tried at the
 last slot, or 1 when there are no slots.  Pruned interior branches never
 build a candidate and are not counted.
@@ -27,15 +29,21 @@ engine's independent oracle.
 
 Weights are cached per field context: edge, triangle and tetrahedron
 weights, the head [z+1]! prod_t 1/[z-t]! of each term of the tetrahedron
-sum per (z, triangle half-sums), and the engine's local factors per pair
-of tetrahedron key and edge-and-triangle key.  Every key is built from
-colours or half-sums below r, so each pool is bounded by a function of
-the level (README, Library).
+sum per (z, triangle half-sums), the engine's local factors per pair of
+tetrahedron key and edge-and-triangle key ("local"), and in front of
+those the same factors per step kind (new edge positions, new faces)
+and raw six colours ("local_raw"), which holds no values of its own
+and shares one key tuple per distinct six colours ("colours").
+Every key is built from colours or half-sums below r, so each pool is
+bounded by a function of the level (README, Library).  The cocycle
+basis, the elimination plan and the validity of a skeleton are built
+once per distinct skeleton (``_derived``).
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .cyclotomic import Cyc, FieldContext, field_init
@@ -110,27 +118,34 @@ def admissible_colouring(skel: Skeleton, doubled, r: int) -> bool:
 # backtracking enumeration
 
 
+@lru_cache(maxsize=None)
+def _third_colours(r: int) -> tuple:
+    """Per-level lookup of ``admissible_triple``: ranges[a][b] holds the
+    doubled colours c that make (a, b, c) admissible at level r, for a
+    and b in 0..r-2, so a test is ``c in ranges[a][b]``."""
+    top = 2 * (r - 2)
+    return tuple(tuple(range(abs(a - b), min(a + b, top - a - b) + 1, 2)
+                       for b in range(r - 1))
+                 for a in range(r - 1))
+
+
 def _backtrack(r: int, domain, colours, slots, checks, stats=None):
     """Every filling of ``colours`` at ``slots`` that passes ``checks``.
 
     The slots are filled in order, each with the values of ``domain`` in
     increasing order.  checks[k] lists the position triples decided once
     the first k slots are filled (checks[0] reads fixed entries only);
-    each triple is tested with ``admissible_triple`` at that depth and a
-    failure prunes the branch.  Returns the surviving colourings as
-    tuples, in lexicographic order along the slots.  With ``stats``,
-    ``nodes_visited`` grows by every value tried at the last slot, or by
-    1 when there are no slots: the fully assigned candidates built.
+    each triple is tested against the level's ``_third_colours`` lookup
+    at that depth and a failure prunes the branch.  Returns the
+    surviving colourings as tuples, in lexicographic order along the
+    slots.  With ``stats``, ``nodes_visited`` grows by every value tried
+    at the last slot, or by 1 when there are no slots: the fully
+    assigned candidates built.
     """
+    ranges = _third_colours(r)
     colours = list(colours)
     found = []
     last = len(slots) - 1
-
-    def passes(k):
-        for a, b, c in checks[k]:
-            if not admissible_triple(r, colours[a], colours[b], colours[c]):
-                return False
-        return True
 
     def walk(k):
         if k > last:
@@ -139,14 +154,19 @@ def _backtrack(r: int, domain, colours, slots, checks, stats=None):
         if k == last and stats is not None:
             stats.nodes_visited += len(domain)
         slot = slots[k]
+        tests = checks[k + 1]
         for value in domain:
             colours[slot] = value
-            if passes(k + 1):
+            for a, b, c in tests:
+                if colours[c] not in ranges[colours[a]][colours[b]]:
+                    break
+            else:
                 walk(k + 1)
 
     if last < 0 and stats is not None:
         stats.nodes_visited += 1
-    if passes(0):
+    if all(colours[c] in ranges[colours[a]][colours[b]]
+           for a, b, c in checks[0]):
         walk(0)
     return found
 
@@ -219,7 +239,7 @@ def enumerate_admissible(
         raise ValueError(f"r must be at least 3, got {r}")
     skel = _as_skeleton(source)
     if class_coords is not None:
-        basis = cocycle_space_1(skel)
+        basis = _derived(skel, cocycle_space_1)
         target = _class_target(basis, class_coords)
 
     order, checks = _search_plan(skel)
@@ -246,7 +266,8 @@ def _cache(ctx: FieldContext) -> dict:
     got = _CACHES.get(ctx)
     if got is None:
         got = {"edge": {}, "triangle": {}, "tet": {}, "tet_raw": {},
-               "head": {}, "local": {}, "vertex": None}
+               "head": {}, "local": {}, "local_raw": {}, "colours": {},
+               "vertex": None}
         _CACHES[ctx] = got
     return got
 
@@ -400,22 +421,39 @@ def colouring_weight(source, colouring, r: int, q: int = 1) -> Cyc:
 # ---------------------------------------------------------------------------
 # state sum
 
-# skeletons found valid so far; validity depends only on a skeleton's
-# content, so an equal skeleton built again counts as checked too
-_VALIDATED = weakref.WeakSet()
+# facts that depend on a skeleton's content alone (its validity, Z/2
+# cocycle basis and elimination plan), kept per distinct skeleton while
+# one equal to it is alive: within one call ``tv_odd_fast`` sums at two
+# levels and ``compute --class`` needs the cocycle basis three times
+_DERIVED = weakref.WeakKeyDictionary()
 
 
-def _checked_skeleton(source) -> Skeleton:
-    """The skeleton of ``source``, validated once per distinct skeleton."""
-    skel = _as_skeleton(source)
-    if skel in _VALIDATED:
-        return skel
+def _derived(skel: Skeleton, build):
+    """``build(skel)``, built once per distinct skeleton."""
+    facts = _DERIVED.get(skel)
+    if facts is None:
+        facts = _DERIVED[skel] = {}
+    got = facts.get(build)
+    if got is None:
+        got = facts[build] = build(skel)
+    return got
+
+
+def _closed_report(skel: Skeleton):
+    """The validity report of a closed 3-manifold skeleton; raises
+    ValueError for any other."""
     report = validate_closed_3manifold(skel)
     if not report.is_closed_3manifold:
         raise ValueError(
             "not a closed 3-manifold triangulation: "
             + "; ".join(report.messages))
-    _VALIDATED.add(skel)
+    return report
+
+
+def _checked_skeleton(source) -> Skeleton:
+    """The skeleton of ``source``, validated once per distinct skeleton."""
+    skel = _as_skeleton(source)
+    _derived(skel, _closed_report)
     return skel
 
 
@@ -488,7 +526,9 @@ def _local_factor(ctx: FieldContext, colours: tuple, edges: tuple,
     too, and the memo never holds more entries than the tet pool times
     the number of edge and triangle keys.  The edge and triangle part is
     built only when the pair misses: a pool of its own raised peak RSS
-    with no time gain the benchmark could resolve.
+    with no time gain the benchmark could resolve.  The engine calls
+    this only when its raw-colour memo ("local_raw") misses, and keeps
+    the value returned here.
     """
     tet_key, tet = _tet_entry(ctx, colours)
     if tet.is_zero():
@@ -530,9 +570,13 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
     extensions that make a newly seen triangle class inadmissible,
     multiplies by one cached local factor (new edge weights, newly seen
     triangle weights, the tetrahedron weight), and sums out the edge
-    classes the tetrahedron finishes.  ``reduce_colouring`` is linear,
-    so the class bits are an XOR of per-edge contributions over the odd
-    colours.  The vertex factor comes in once at the end.  On a
+    classes the tetrahedron finishes.  The factor is looked up by the
+    six raw colours in the "local_raw" memo of the step's kind first,
+    and built by ``_local_factor`` only on a miss.  ``reduce_colouring``
+    is linear, so the class bits are an XOR of per-edge contributions
+    over the odd colours; without a class, or on the whole colours, no
+    edge contributes and the loop is empty.  The vertex factor comes in
+    once at the end.  On a
     one-vertex skeleton the zero class holds exactly the whole-colour
     colourings, so only the even colours are tried there.
 
@@ -544,16 +588,19 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
     edge_bits = [0] * skel.e
     target = 0
     if class_coords is not None:
-        basis = cocycle_space_1(skel)
+        basis = _derived(skel, cocycle_space_1)
         target = _class_target(basis, class_coords)
-        edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
         # no coboundaries: the odd edges form a cocycle, zero only if empty
         integer_only = target == 0 and basis.coboundary_dim == 0
+        if not integer_only:
+            edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
     domain = _domain(r, integer_only)
 
     table = {(0,): ctx.one}     # key: active colours, then class bits
+    pool = _cache(ctx)
+    raw_pool, shared = pool["local_raw"], pool["colours"]
     active = []
-    for t, new, faces, finished in _elimination_plan(skel):
+    for t, new, faces, finished in _derived(skel, _elimination_plan):
         tet_edges = skel.tet_edge_classes[t]
         old = [e for e in active if e in tet_edges]
         slot = {e: i for i, e in enumerate(old + new)}
@@ -562,31 +609,43 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
                             if e not in finished])
         keep_new = [j for j, e in enumerate(new) if e not in finished]
         tet_slots = [slot[e] for e in tet_edges]
-        new_edges = tuple(tet_edges.index(e) for e in new)
+        six = itemgetter(*tet_slots)
+        tail_of = _picker([len(old) + j for j in keep_new])
+        new_edges = tuple(sorted(tet_edges.index(e) for e in new))
         checks = [[] for _ in range(len(new) + 1)]
         for face in faces:
             tri = tuple(tet_slots[k] for k in FACE_EDGES[face])
             checks[max(0, max(tri) - len(old) + 1)].append(tri)
-        new_bits = [edge_bits[e] for e in new]
+        # (slot, class bits) of the new edges whose odd colours move the
+        # class; none without a class or on the whole colours
+        new_bits = [(slot[e], edge_bits[e]) for e in new if edge_bits[e]]
         new_slots = range(len(old), len(old) + len(new))
+        padding = (0,) * len(new)
 
         options = {}
+        # local factors by raw colours, one memo per step kind: the new
+        # edge positions (sorted, so equal kinds share) and new faces
+        memo = raw_pool.setdefault((new_edges, faces), {})
 
         def factors(sig):
             out = []
-            for colours in _backtrack(r, domain, sig + (0,) * len(new),
-                                      new_slots, checks):
-                weight = _local_factor(
-                    ctx, tuple(colours[k] for k in tet_slots), new_edges,
-                    faces)
+            for colours in _backtrack(r, domain, sig + padding, new_slots,
+                                      checks):
+                tet_colours = six(colours)
+                weight = memo.get(tet_colours)
+                if weight is None:
+                    # one key tuple per distinct six colours, whatever
+                    # the kinds it turns up in
+                    tet_colours = shared.setdefault(tet_colours, tet_colours)
+                    weight = memo[tet_colours] = _local_factor(
+                        ctx, tet_colours, new_edges, faces)
                 if weight.is_zero():
                     continue
-                ext = colours[len(sig):]
                 bits = 0
-                for a, contribution in zip(ext, new_bits):
-                    if a & 1:
+                for i, contribution in new_bits:
+                    if colours[i] & 1:
                         bits ^= contribution
-                out.append((tuple(ext[j] for j in keep_new), bits, weight))
+                out.append((tail_of(colours), bits, weight))
             return out
 
         nxt = {}

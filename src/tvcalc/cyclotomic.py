@@ -10,7 +10,10 @@ display helper ``numeric_eval``.
 
 Quantum integers and their inverses are weighted sums of powers of zeta,
 read off the table of reduced powers of x with no division.  A product
-folds x^r = -1 before it reduces by Phi_{2r}, which divides x^r + 1.  At
+folds x^r = -1 before it reduces by Phi_{2r}, which divides x^r + 1; the
+schoolbook loop folds while it accumulates, into r slots.  A product or
+sum of operands with denominator 1 is integral, so already in lowest
+terms, and skips the gcd pass.  At
 degree ``KRONECKER_DEGREE`` and above, when both operands have at least
 ``KRONECKER_NONZERO`` nonzero coefficients, the product is one big-integer
 multiply (Kronecker substitution): each coefficient vector is packed into
@@ -29,6 +32,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from operator import add
 
 import mpmath
 
@@ -363,10 +367,14 @@ class Cyc:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc and isinstance(other, (int, Fraction)):
             other = self.ctx.from_rational(other)
         self._check(other)
         a, b = self, other
+        if a.den == 1 and b.den == 1:
+            # integral operands give an integral sum, already normalised
+            return Cyc(self.ctx, tuple(map(add, a.num, b.num)), 1,
+                       _normalised=True)
         num = tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num))
         return Cyc(self.ctx, num, a.den * b.den)
 
@@ -385,16 +393,18 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyc(self.ctx, tuple(c * other for c in self.num),
-                       self.den)
-        if isinstance(other, Fraction):
-            return Cyc(self.ctx,
-                       tuple(c * other.numerator for c in self.num),
-                       self.den * other.denominator)
+        if type(other) is not Cyc:
+            if isinstance(other, int):
+                return Cyc(self.ctx, tuple(c * other for c in self.num),
+                           self.den)
+            if isinstance(other, Fraction):
+                return Cyc(self.ctx,
+                           tuple(c * other.numerator for c in self.num),
+                           self.den * other.denominator)
         self._check(other)
         ctx = self.ctx
         deg = ctx.degree
+        r = ctx.r
         a, b = self.num, other.num
         if (deg >= KRONECKER_DEGREE
                 and deg - a.count(0) >= KRONECKER_NONZERO
@@ -402,27 +412,30 @@ class Cyc:
             conv = _kronecker_folded(ctx, a, b,
                                      ctx._factorial_ids.get(id(other)))
         else:
-            conv = [0] * (2 * deg - 1)
+            # x^r = -1 because Phi_2r divides x^r + 1: fold while
+            # accumulating, into r slots
+            conv = [0] * r
             terms_b = [(j, y) for j, y in enumerate(b) if y]
             for i, x in enumerate(a):
                 if x:
                     for j, y in terms_b:
-                        conv[i + j] += x * y
-            # x^r = -1 because Phi_2r divides x^r + 1: fold, then reduce
-            # the rest (nothing at r = 2^k, one step at prime r)
-            r = ctx.r
-            for k in range(r, len(conv)):
-                conv[k - r] -= conv[k]
-            del conv[r:]
+                        k = i + j
+                        if k < r:
+                            conv[k] += x * y
+                        else:
+                            conv[k - r] -= x * y
+        # reduce the rest by Phi_2r (nothing at r = 2^k, one step at
+        # prime r)
         mod = ctx.modulus
-        for k in range(len(conv) - 1, deg - 1, -1):
+        for k in range(r - 1, deg - 1, -1):
             c = conv[k]
             if c:
-                conv[k] = 0
                 base = k - deg
                 for i in range(deg):
                     conv[base + i] -= c * mod[i]
-        return Cyc(ctx, tuple(conv[:deg]), self.den * other.den)
+        # an integral product is already normalised
+        den = self.den * other.den
+        return Cyc(ctx, tuple(conv[:deg]), den, _normalised=den == 1)
 
     __rmul__ = __mul__
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 from .colourings import (
     EnumerationStats,
-    WeightSystem,
     _backtrack,
     _checked_skeleton,
+    _derived,
     enumerate_admissible,
     sweep_sum,
     tv,
     tv_at_class,
+    vertex_weight,
 )
 from .cyclotomic import Cyc, field_init
 from .homology import cocycle_space_1
@@ -115,10 +116,13 @@ def tv_odd_fast(source, r: int) -> Cyc:
     level3 = tv(skel, 3)
     assert level3.is_rational(), "level-3 weights are rational"
 
-    zero_weight = WeightSystem(skel, 3, 1).colouring_weight((0,) * skel.e)
+    # every edge, triangle and tetrahedron factor of the zero colouring
+    # is 1, so its weight is the vertex factor alone
+    zero_weight = vertex_weight(field_init(3, 1)) ** skel.v
     scale = level3.as_rational() / zero_weight.as_rational()
 
-    trivial = tv_at_class(skel, r, 1, (0,) * cocycle_space_1(skel).beta1)
+    beta1 = _derived(skel, cocycle_space_1).beta1
+    trivial = tv_at_class(skel, r, 1, (0,) * beta1)
     return trivial * field_init(r, 1).from_rational(scale)
 
 

@@ -16,6 +16,7 @@ from tvcalc import (
     enumerate_census,
     field_init,
     numeric_eval,
+    parse_triangulation,
     state_sum,
     sweep_sum,
     tetrahedron_weight,
@@ -23,7 +24,7 @@ from tvcalc import (
     tv_at_class,
 )
 from tvcalc.colourings import WeightSystem, _cache, _search_plan, \
-    edge_weight, triangle_weight, vertex_weight
+    _third_colours, edge_weight, triangle_weight, vertex_weight
 from tvcalc.cyclotomic import KRONECKER_DEGREE, KRONECKER_NONZERO, Cyc, \
     FieldContext
 from tvcalc.fastalgo import adm4_structured
@@ -31,6 +32,14 @@ from tvcalc.loopcoords import IntersectionSymbol, decompose_symbol, \
     tet_weight_loop
 from tvcalc.triangulation import ALL_PERMS, EDGE_INDEX, EDGE_VERTICES, \
     make_triangulation
+
+# a three-tetrahedron census member whose elimination plan adds new
+# edges at unsorted local positions (no input with n <= 2 does)
+UNSORTED_NEW_EDGES = """tri 1
+tet 0: 0:1023 0:1023 1:0123 1:0123
+tet 1: 2:0123 2:1203 0:0123 0:0123
+tet 2: 1:0123 2:0321 1:2013 2:0321
+"""
 
 
 def _oracle_triple(r, a, b, c):
@@ -72,6 +81,16 @@ def test_admissible_triple_is_symmetric(r, a, b, c):
        st.integers(0, 10))
 def test_admissible_triple_matches_oracle(r, a, b, c):
     assert admissible_triple(r, a, b, c) == _oracle_triple(r, a, b, c)
+
+
+@pytest.mark.parametrize("r", [*range(3, 13), 61])
+def test_third_colour_lookup_matches_admissible_triple(r):
+    # the walker's per-level lookup, on every triple of colours 0..r-2
+    ranges = _third_colours(r)
+    assert len(ranges) == r - 1
+    for a, b, c in product(range(r - 1), repeat=3):
+        assert (c in ranges[a][b]) == admissible_triple(r, a, b, c), \
+            (a, b, c)
 
 
 def test_enumeration_matches_product_filter(census1, census2):
@@ -333,7 +352,7 @@ def test_cached_tet_weights_match_uncached_oracle(r):
             assert (loop.num, loop.den) == (num, den), colours
 
 
-def test_weight_caches_stay_bounded(census1):
+def test_weight_caches_stay_bounded(census1, census2):
     # after a one-tetrahedron invariant at r = 23 the context keeps only
     # bracket factorials and their inverses packed, at most 2r per slot
     # width; a product whose right operand is a transient value, here a
@@ -362,6 +381,31 @@ def test_weight_caches_stay_bounded(census1):
     rest_keys = {rest_key for _, rest_key in pool["local"]}
     assert tet_keys <= set(pool["tet"])
     assert len(pool["local"]) <= len(pool["tet"]) * len(rest_keys)
+
+    # the raw-colour memo in front of it: one memo per step kind (sorted
+    # new edge positions, new faces), keyed by six colours that are all
+    # in "tet_raw", each the one tuple "colours" keeps for them, and
+    # holding only values of "local" or zero tetrahedron weights of
+    # "tet_raw", so it adds no values of its own; at r = 7 on inputs
+    # with several tetrahedra too
+    three = parse_triangulation(UNSORTED_NEW_EDGES)
+    for t in census2[:8] + [three]:
+        tv(t, 7)
+    for pool in (_cache(ctx), _cache(field_init(7, 1))):
+        assert pool["local_raw"]
+        local_values = {id(value) for value in pool["local"].values()}
+        for (edges, faces), memo in pool["local_raw"].items():
+            assert edges == tuple(sorted(set(edges)))
+            assert set(edges) <= set(range(6))
+            assert faces == tuple(sorted(set(faces)))
+            assert set(faces) <= set(range(4))
+            assert set(memo) <= set(pool["tet_raw"])
+            for colours, value in memo.items():
+                assert pool["colours"][colours] is colours
+                if value.is_zero():
+                    assert value is pool["tet_raw"][colours][1]
+                else:
+                    assert id(value) in local_values
 
 
 def test_colouring_weight_rejects_inadmissible(census1):

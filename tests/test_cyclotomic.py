@@ -297,6 +297,36 @@ def test_products_by_packed_factorials(r):
     assert len(ctx._packed) > 1
 
 
+def test_cancelling_products_and_sums_come_back_normalised():
+    # below KRONECKER_DEGREE an integral product or sum skips the gcd
+    # pass; one whose denominators cancel must still come back in lowest
+    # terms: [k] * 1/[k] is 1 over 1 at composite levels too, where 1/[k]
+    # has a denominator, and every product or sum equals its own
+    # renormalisation
+    levels = [r for r in range(3, 40)
+              if field_init(r, 1).degree < KRONECKER_DEGREE]
+    assert levels[0] == 3 and field_init(levels[-1], 1).degree == 12
+    assert any(field_init(r, 1).inverse_quantum_integer(k).den > 1
+               for r in levels for k in range(1, r))
+    rng = random.Random(16)
+    for r in levels:
+        ctx = field_init(r, 1)
+        one = (ctx.one.num, 1)
+        for k in range(1, r):
+            qint, inv = ctx.quantum_integer(k), ctx.inverse_quantum_integer(k)
+            for got in (qint * inv, inv * qint, inv + (ctx.one - inv),
+                        (ctx.one - inv) + inv):
+                assert (got.num, got.den) == one, (r, k)
+        values = [ctx.inverse_quantum_integer(k) for k in range(1, r)]
+        values += [ctx.inverse_bracket_factorial(i) for i in range(r)]
+        values += [ctx.bracket_factorial(i) for i in range(r)]
+        for _ in range(60):
+            a, b = rng.choice(values), rng.choice(values)
+            for got in (a * b, a + b, a - b):
+                again = Cyc(ctx, got.num, got.den)
+                assert (got.num, got.den) == (again.num, again.den), r
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_conjugation_is_a_ring_map(data):

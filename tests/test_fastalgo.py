@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -7,14 +9,21 @@ from tvcalc import (
     adm4_structured,
     bounds,
     build_skeleton,
+    cli,
     cocycle_space_1,
+    colouring_weight,
+    colourings,
     enumerate_admissible,
+    fastalgo,
+    field_init,
+    serialise_triangulation,
     state_sum,
     sweep_sum,
     tv,
     tv4_structured,
     tv_odd_fast,
 )
+from tvcalc.colourings import vertex_weight
 
 
 def test_level3_colourings_are_the_cocycle_span(census1, census2):
@@ -71,6 +80,55 @@ def test_tv_odd_fast_matches_plain_sum(one_vertex_corpus):
     for tri in one_vertex_corpus:
         for r in (3, 5):
             assert tv_odd_fast(tri, r) == tv(tri, r, 1)
+
+
+def test_zero_colouring_weight_is_the_vertex_factor(census1, census2):
+    # tv_odd_fast divides by the level-3 weight of the zero colouring,
+    # whose every edge, triangle and tetrahedron factor is 1
+    ctx = field_init(3, 1)
+    for tri in census1 + census2:
+        skel = build_skeleton(tri)
+        assert vertex_weight(ctx) ** skel.v == colouring_weight(
+            skel, (0,) * skel.e, 3)
+
+
+def test_one_compute_builds_basis_and_plan_once(
+        census1, monkeypatch, tmp_path):
+    # tv_odd_fast sums at levels 3 and r and reads beta1, and compute
+    # --class checks the class, searches and sums; each builds the
+    # skeleton's cocycle basis and elimination plan once
+    calls = {}
+
+    def counted(name, build):
+        def wrapper(skel):
+            calls[name] += 1
+            return build(skel)
+        return wrapper
+
+    basis = counted("basis", cocycle_space_1)
+    for module in (cli, colourings, fastalgo):
+        monkeypatch.setattr(module, "cocycle_space_1", basis)
+    monkeypatch.setattr(colourings, "_elimination_plan",
+                        counted("plan", colourings._elimination_plan))
+    monkeypatch.setattr(colourings, "_DERIVED", weakref.WeakKeyDictionary())
+
+    tri = next(t for t in census1 if build_skeleton(t).v == 1
+               and cocycle_space_1(build_skeleton(t)).beta1 > 0)
+    path = tmp_path / "input.tri"
+    path.write_text(serialise_triangulation(tri))
+    common = ["compute", "--file", str(path), "--json"]
+    for argv in (common + ["--r", "5", "--algorithm", "odd-fast"],
+                 common + ["--r", "7"],
+                 common + ["--r", "5", "--class", "1"],
+                 common + ["--r", "6", "--class", "0"]):
+        gc.collect()
+        calls.update(basis=0, plan=0)
+        assert cli.main(argv) == 0
+        assert calls == {"basis": 1, "plan": 1}, argv
+    gc.collect()
+    calls.update(basis=0, plan=0)
+    tv_odd_fast(build_skeleton(tri), 9)
+    assert calls == {"basis": 1, "plan": 1}
 
 
 def test_tv_odd_fast_rejects_bad_input(census1, census2):
