@@ -23,9 +23,13 @@ build a candidate and are not counted.
 Every invariant value comes from one engine, ``_elimination_sum``:
 dynamic programming over tetrahedra that never lists whole colourings.
 Its only restriction is a Z/2 cohomology class; on a one-vertex
-skeleton the zero class is the whole-colour sum.  ``sweep_sum``
-multiplies out the weight of each colouring of a given list; it is the
-engine's independent oracle.
+skeleton the zero class is the whole-colour sum.  The walk runs only at
+the base q of a level, 1 or (for even q at odd r) r + 1, and a value at
+any other q is the image of the base value under the field automorphism
+x -> x^s (``Cyc.galois``), because every weight is a rational function
+of zeta = x^q.  ``sweep_sum`` multiplies out the weight of each
+colouring of a given list, at (r, q) directly; it is the engine's
+independent oracle.
 
 Weights are cached per field context: edge, triangle and tetrahedron
 weights, the head [z+1]! prod_t 1/[z-t]! of each term of the tetrahedron
@@ -33,9 +37,10 @@ sum per (z, triangle half-sums), the engine's local factors per pair of
 tetrahedron key and edge-and-triangle key ("local"), and in front of
 those the same factors per step kind (new edge positions, new faces)
 and raw six colours ("local_raw"), which holds no values of its own
-and shares one key tuple per distinct six colours ("colours").
-Every key is built from colours or half-sums below r, so each pool is
-bounded by a function of the level (README, Library).  The cocycle
+and shares one key tuple per distinct six colours ("colours").  The
+engine asks for at most two contexts per level.  Every key is built
+from colours or half-sums below r, so each pool is bounded by a
+function of the level (README, Library).  The cocycle
 basis, the elimination plan and the validity of a skeleton are built
 once per distinct skeleton (``_derived``).
 """
@@ -258,7 +263,9 @@ def enumerate_admissible(
 
 # cache pools per field context; ``field_init`` memoises contexts, so
 # this never grows beyond the levels actually used, and a context made
-# directly gets pools of its own
+# directly gets pools of its own.  The engine asks only for the base
+# contexts (r, 1) and (r, r + 1); other contexts fill only when weights
+# are asked for there directly, as ``sweep_sum`` does
 _CACHES: dict = {}
 
 
@@ -558,9 +565,42 @@ def _picker(indices):
     return lambda key: ()
 
 
+def _base_q(r: int, q: int) -> tuple:
+    """(base, s) with the invariant at (r, q) the image of the invariant
+    at (r, base) under the automorphism x -> x^s.
+
+    The weights are rational functions of zeta = x^q alone.  For odd q,
+    zeta = x^q is the image of x under x -> x^q, so base 1 and s = q.  An
+    even q (odd r only, as gcd(q, r) = 1) has no such s over base 1,
+    since x^q is then a primitive r-th root; over base r + 1 it has
+    s = (q + r) mod 2r, odd and coprime to r, with (r + 1) s = q mod 2r.
+    """
+    if q & 1:
+        return 1, q
+    return r + 1, (q + r) % (2 * r)
+
+
 def _elimination_sum(skel: Skeleton, r: int, q: int,
                      class_coords=None) -> Cyc:
-    """State sum by dynamic programming over tetrahedra.
+    """State sum at (r, q) from one engine run at the base q.
+
+    ``_elimination_walk`` runs at (r, 1), or at (r, r + 1) for even q,
+    and the value is mapped into (r, q) by ``Cyc.galois`` (``_base_q``).
+    The weight pools thus fill for at most two contexts per level.
+
+    Equals ``sweep_sum`` over ``enumerate_admissible`` with the same
+    ``class_coords``.
+    """
+    ctx = field_init(r, q)
+    base, s = _base_q(r, q)
+    value = _elimination_walk(skel, field_init(r, base), class_coords)
+    return value if base == q else value.galois(s, ctx)
+
+
+def _elimination_walk(skel: Skeleton, ctx: FieldContext,
+                      class_coords=None) -> Cyc:
+    """State sum in the context ``ctx``, by dynamic programming over
+    tetrahedra.
 
     The fixed-parameter algorithm of Burton, Maria and Spreer
     (arXiv:1503.04099).  The table maps (colours of the active edge
@@ -579,11 +619,8 @@ def _elimination_sum(skel: Skeleton, r: int, q: int,
     once at the end.  On a
     one-vertex skeleton the zero class holds exactly the whole-colour
     colourings, so only the even colours are tried there.
-
-    Equals ``sweep_sum`` over ``enumerate_admissible`` with the same
-    ``class_coords``.
     """
-    ctx = field_init(r, q)
+    r = ctx.r
     integer_only = False
     edge_bits = [0] * skel.e
     target = 0

@@ -4,14 +4,19 @@ Elements are represented in the power basis of Q[x]/Phi_{2r}(x), with
 integer coefficient vectors over a common positive denominator, always in
 lowest terms.  The root of unity zeta used by the invariants is x^q, so a
 single field serves every exponent convention; complex conjugation is the
-substitution x -> x^{2r-1}.  Equality of invariants is always decided on
-these exact representations; floating point only ever appears in the
-display helper ``numeric_eval``.
+substitution x -> x^{2r-1}.  More generally ``Cyc.galois`` applies the
+automorphism x -> x^s for s coprime to 2r, a permutation of power-table
+rows, and can land in the context of another q at the same level: the
+invariant at q is the image of the invariant at a base q.  Equality of
+invariants is always decided on these exact representations; floating
+point only ever appears in the display helper ``numeric_eval``.
 
 Quantum integers and their inverses are weighted sums of powers of zeta,
 read off the table of reduced powers of x with no division.  A product
 folds x^r = -1 before it reduces by Phi_{2r}, which divides x^r + 1; the
-schoolbook loop folds while it accumulates, into r slots.  A product or
+schoolbook loop folds while it accumulates, into r slots, and the
+reduction runs over the modulus's nonzero coefficients only, adding or
+subtracting where they are -1 or 1.  A product or
 sum of operands with denominator 1 is integral, so already in lowest
 terms, and skips the gcd pass.  At
 degree ``KRONECKER_DEGREE`` and above, when both operands have at least
@@ -105,6 +110,13 @@ class FieldContext:
         self.order = 2 * r
         self.modulus = cyclotomic_polynomial(2 * r)
         self.degree = len(self.modulus) - 1
+        # the nonzero low coefficients of the modulus, for the reduction
+        # after a product: positions of +1 and of -1, and the other pairs
+        low = self.modulus[:-1]
+        self._mod_terms = (tuple(i for i, m in enumerate(low) if m == 1),
+                           tuple(i for i, m in enumerate(low) if m == -1),
+                           tuple((i, m) for i, m in enumerate(low)
+                                 if m not in (0, 1, -1)))
 
         # x^j mod Phi for j = 0..2r-1, as integer coefficient tuples
         self._xpow = [None] * (2 * r)
@@ -425,14 +437,18 @@ class Cyc:
                         else:
                             conv[k - r] -= x * y
         # reduce the rest by Phi_2r (nothing at r = 2^k, one step at
-        # prime r)
-        mod = ctx.modulus
+        # prime r), over its nonzero coefficients only
+        ones, minus_ones, others = ctx._mod_terms
         for k in range(r - 1, deg - 1, -1):
             c = conv[k]
             if c:
                 base = k - deg
-                for i in range(deg):
-                    conv[base + i] -= c * mod[i]
+                for i in ones:
+                    conv[base + i] -= c
+                for i in minus_ones:
+                    conv[base + i] += c
+                for i, m in others:
+                    conv[base + i] -= c * m
         # an integral product is already normalised
         den = self.den * other.den
         return Cyc(ctx, tuple(conv[:deg]), den, _normalised=den == 1)
@@ -494,16 +510,37 @@ class Cyc:
         inv += [Fraction(0)] * (self.ctx.degree - len(inv))
         return self.ctx.from_fractions(inv)
 
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation: substitute x -> x^{2r-1}."""
-        ctx = self.ctx
+    def galois(self, s: int, ctx: FieldContext) -> "Cyc":
+        """The image under the automorphism x -> x^s, as an element of
+        ``ctx``.
+
+        s must be coprime to 2r, and ``ctx`` must be a context of the same
+        level: all of them share the power basis of Q[x]/Phi_2r and differ
+        only in which power of x they call zeta.  Coefficient k moves to
+        the reduced power x^(sk), a row of the power table.  A value whose
+        weights are rational functions of zeta = x^q maps to the same
+        rational functions of zeta = x^(sq).
+        """
+        src = self.ctx
+        if ctx.r != src.r:
+            raise ValueError(
+                f"cannot map level {src.r} into level {ctx.r}")
+        if math.gcd(s, src.order) != 1:
+            raise ValueError(
+                f"x -> x^{s} is not an automorphism: gcd({s}, {src.order})"
+                " is not 1")
+        rows, order = ctx._xpow, ctx.order
         acc = [0] * ctx.degree
         for k, c in enumerate(self.num):
             if c:
-                power = ctx._xpow[(-k) % ctx.order]
-                for i, p in enumerate(power):
-                    acc[i] += c * p
+                for i, p in enumerate(rows[(s * k) % order]):
+                    if p:
+                        acc[i] += c * p
         return Cyc(ctx, tuple(acc), self.den)
+
+    def conjugate(self) -> "Cyc":
+        """Complex conjugation: substitute x -> x^{2r-1}."""
+        return self.galois(self.ctx.order - 1, self.ctx)
 
     # -- comparison / hashing ----------------------------------------------
 

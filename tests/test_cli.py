@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvcalc import cli, serialise_triangulation, tv
 from tvcalc.cli import main
@@ -42,6 +46,34 @@ def lens_file(tmp_path):
     path = tmp_path / "lens.tri"
     path.write_text(LENS_LIKE)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def lens_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "lens.tri"
+    path.write_text(LENS_LIKE)
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compute_level_and_q_fuzz(lens_path, data):
+    # exit 0 exactly on a valid level; otherwise a usage error on one
+    # line, raised as no exception
+    r = data.draw(st.integers(3, 12))
+    q = data.draw(st.integers(-3, 2 * r + 3))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", "--file", lens_path, "--r", str(r),
+                     "--q", str(q), "--json"])
+    if 0 < q < 2 * r and math.gcd(q, r) == 1:
+        assert code == 0 and err.getvalue() == ""
+        doc = json.loads(out.getvalue())
+        assert (doc["r"], doc["q"]) == (r, q)
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tv: error:"), lines
 
 
 def test_compute_human_output(sphere_file, capsys):

@@ -297,6 +297,20 @@ def test_products_by_packed_factorials(r):
     assert len(ctx._packed) > 1
 
 
+def test_products_reduce_by_a_modulus_with_other_coefficients():
+    # Phi_210 is the first modulus with a coefficient other than 0 and
+    # +-1, so the reduction's general pairs first run at r = 105
+    ctx = field_init(105, 1)
+    assert {abs(m) for m in ctx.modulus} == {0, 1, 2}
+    rng = random.Random(105)
+    for _ in range(4):
+        a, b = (ctx.from_fractions(
+            [Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 9))
+             for _ in range(ctx.degree)]) for _ in range(2))
+        _assert_schoolbook(a, b)
+        _assert_schoolbook(a, ctx.zeta)
+
+
 def test_cancelling_products_and_sums_come_back_normalised():
     # below KRONECKER_DEGREE an integral product or sum skips the gcd
     # pass; one whose denominators cancel must still come back in lowest
@@ -341,6 +355,68 @@ def test_conjugation_is_a_ring_map(data):
     za = complex(numeric_eval(a, 15))
     zc = complex(numeric_eval(a.conjugate(), 15))
     assert abs(za.conjugate() - zc) < 1e-10
+
+
+def _units(r):
+    return [s for s in range(1, 2 * r) if math.gcd(s, 2 * r) == 1]
+
+
+def _draw_galois_case(data):
+    """(a, b, s, target context): two elements of one context and an
+    automorphism exponent, mapped into a context of the same level."""
+    r, q = data.draw(st.sampled_from(LEVELS))
+    ctx = field_init(r, q)
+    target = field_init(r, data.draw(st.sampled_from(
+        [t for t in range(1, 2 * r) if math.gcd(r, t) == 1])))
+    s = data.draw(st.sampled_from(_units(r))) \
+        + 2 * r * data.draw(st.integers(-2, 2))
+    return _random_element(ctx, data), _random_element(ctx, data), s, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_galois_is_a_ring_map(data):
+    a, b, s, target = _draw_galois_case(data)
+    image = a.galois(s, target)
+    assert image.ctx is target
+    assert (a + b).galois(s, target) == image + b.galois(s, target)
+    assert (a * b).galois(s, target) == image * b.galois(s, target)
+    # the result is normalised: it equals its own renormalisation
+    again = Cyc(target, image.num, image.den)
+    assert (image.num, image.den) == (again.num, again.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_galois_maps_compose(data):
+    a, _, s, target = _draw_galois_case(data)
+    t = data.draw(st.sampled_from(_units(a.ctx.r)))
+    assert a.galois(t, a.ctx).galois(s, target) == a.galois(s * t, target)
+    assert a.galois(1, a.ctx) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_galois_evaluates_at_a_power_of_the_root(data):
+    a, _, s, target = _draw_galois_case(data)
+    r = a.ctx.r
+    assert a.galois(2 * r - 1, a.ctx) == a.conjugate()
+    # numeric_eval reads x as exp(i pi / r), so sigma_s(a) reads a at
+    # exp(i pi s / r)
+    with mpmath.workdps(30):
+        root = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi * s / r)
+        want = sum(c * root ** k for k, c in enumerate(a.num)) / a.den
+        got = numeric_eval(a.galois(s, target), 25)
+        assert abs(complex(got) - complex(want)) < 1e-15 * (1 + abs(want))
+
+
+def test_galois_needs_a_unit_at_the_same_level():
+    a = field_init(5, 1).zeta
+    for s in (0, 2, 5, 10, -4):
+        with pytest.raises(ValueError):
+            a.galois(s, field_init(5, 1))
+    with pytest.raises(ValueError):
+        a.galois(1, field_init(7, 1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,10 @@
 """The elimination engine against the colouring sweep, exactly.
 
-``_elimination_sum`` computes every invariant value; ``sweep_sum`` over
-the enumerated colourings is the independent oracle.  Every case below
-must agree as exact field elements, for the full sum and each
-cohomology class.  On one-vertex skeletons the engine sums only whole
+``_elimination_sum`` computes every invariant value, by one walk at its
+base q and a Galois map; ``sweep_sum`` over the enumerated colourings,
+which computes at (r, q) directly, is the independent oracle.  Every
+case below must agree as exact field elements, for the full sum and
+each cohomology class.  On one-vertex skeletons the engine sums only whole
 colours in the zero class, so that class must also match the
 integer-only search.
 """
@@ -19,7 +20,12 @@ from tvcalc import (
     pachner_23,
     sweep_sum,
 )
-from tvcalc.colourings import _elimination_plan, _elimination_sum
+from tvcalc.colourings import (
+    _elimination_plan,
+    _elimination_sum,
+    _elimination_walk,
+)
+from tvcalc.cyclotomic import field_init
 
 
 def _valid_q(r):
@@ -69,6 +75,22 @@ def test_census_levels_7_and_8(census1, census2):
             skel = build_skeleton(tri)
             for r in (7, 8):
                 _assert_engine_matches_sweep(skel, r, pick(r), index)
+
+
+def test_walk_at_every_q_matches_its_galois_image(census1, census2):
+    # the engine runs at q = 1, or r + 1 for even q, and maps the value;
+    # the walk run directly at (r, q) must give the same element of the
+    # context (r, q), for the full sum and for every class
+    cases = [(tri, r) for tri in census1 + census2 for r in range(3, 8)]
+    cases += [(tri, r) for tri in census1 for r in (8, 9)]
+    for index, (tri, r) in enumerate(cases):
+        skel = build_skeleton(tri)
+        for q in _valid_q(r):
+            for coords in [None] + _classes(skel):
+                image = _elimination_sum(skel, r, q, coords)
+                assert image.ctx is field_init(r, q)
+                assert image == _elimination_walk(
+                    skel, field_init(r, q), coords), (index, r, q, coords)
 
 
 def _internal_triangles(tri):
