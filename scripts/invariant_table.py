@@ -21,6 +21,7 @@ from tvcalc import (
     tv_odd_fast,
 )
 from tvcalc.census import MAX_CENSUS_TETS
+from tvcalc.cyclotomic import MAX_DIGITS
 from tvcalc.homology import h1_integral
 
 
@@ -41,8 +42,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not 1 <= args.max_tets <= MAX_CENSUS_TETS:
         ap.error(f"--max-tets must be between 1 and {MAX_CENSUS_TETS}")
-    if args.digits < 1:
-        ap.error("--digits must be >= 1")
+    if not 1 <= args.digits <= MAX_DIGITS:
+        ap.error(f"--digits must be between 1 and {MAX_DIGITS}")
     for r in args.levels:
         try:
             field_init(r, args.q)

@@ -30,7 +30,7 @@ from .colourings import (
     tv,
     tv_at_class,
 )
-from .cyclotomic import field_init, numeric_eval
+from .cyclotomic import MAX_DIGITS, field_init, numeric_eval
 from .fastalgo import adm4_structured, bounds, tv_odd_fast
 from .homology import betti_z2, cocycle_space_1
 from .loopcoords import (
@@ -160,11 +160,11 @@ def _choose_algorithm(args, skel) -> str | None:
 
 
 def _cmd_compute(args) -> int:
+    if not 1 <= args.digits <= MAX_DIGITS:
+        return _fail_usage(f"--digits must be between 1 and {MAX_DIGITS}")
     skel = _load_skeleton(args.file, args.r, args.q)
     if isinstance(skel, int):
         return skel
-    if args.digits < 1:
-        return _fail_usage("--digits must be >= 1")
 
     class_coords = None
     if args.class_bits is not None:
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable output, no timings")
     p.add_argument("--digits", type=int, default=12,
-                   help="decimal display precision")
+                   help=f"decimal display precision, 1..{MAX_DIGITS}")
     p.set_defaults(handler=_cmd_compute)
 
     p = sub.add_parser("enumerate", help="list admissible colourings")

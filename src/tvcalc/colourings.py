@@ -31,17 +31,18 @@ of zeta = x^q.  ``sweep_sum`` multiplies out the weight of each
 colouring of a given list, at (r, q) directly; it is the engine's
 independent oracle.
 
-Weights are cached per field context: edge, triangle and tetrahedron
-weights, the head [z+1]! prod_t 1/[z-t]! of each term of the tetrahedron
-sum per (z, triangle half-sums), the engine's local factors per pair of
+Weights are cached per field context: triangle and tetrahedron
+weights (an edge weight is a quantum integer, which the context keeps),
+the head [z+1]! prod_t 1/[z-t]! of each term of the tetrahedron sum per
+(z, triangle half-sums), the engine's local factors per pair of
 tetrahedron key and edge-and-triangle key ("local"), and in front of
 those the same factors per step kind (new edge positions, new faces)
 and raw six colours ("local_raw"), which holds no values of its own
-and shares one key tuple per distinct six colours ("colours").  The
-engine asks for at most two contexts per level.  Every key is built
-from colours or half-sums below r, so each pool is bounded by a
-function of the level (README, Library).  The cocycle
-basis, the elimination plan and the validity of a skeleton are built
+and is keyed by the one tuple per distinct six colours that "tet_raw"
+keeps.  The engine asks for at most two contexts per level.  Every key
+is built from colours or half-sums below r, so each pool is bounded by
+a function of the level (README, Library).  The cocycle basis, the
+search and elimination plans and the validity of a skeleton are built
 once per distinct skeleton (``_derived``).
 """
 from __future__ import annotations
@@ -247,7 +248,7 @@ def enumerate_admissible(
         basis = _derived(skel, cocycle_space_1)
         target = _class_target(basis, class_coords)
 
-    order, checks = _search_plan(skel)
+    order, checks = _derived(skel, _search_plan)
     stats = EnumerationStats()
     found = _backtrack(r, _domain(r, integer_only), [0] * skel.e, order,
                        checks, stats)
@@ -272,9 +273,8 @@ _CACHES: dict = {}
 def _cache(ctx: FieldContext) -> dict:
     got = _CACHES.get(ctx)
     if got is None:
-        got = {"edge": {}, "triangle": {}, "tet": {}, "tet_raw": {},
-               "head": {}, "local": {}, "local_raw": {}, "colours": {},
-               "vertex": None}
+        got = {"triangle": {}, "tet": {}, "tet_raw": {}, "head": {},
+               "local": {}, "local_raw": {}, "vertex": None}
         _CACHES[ctx] = got
     return got
 
@@ -290,14 +290,8 @@ def vertex_weight(ctx: FieldContext) -> Cyc:
 
 def edge_weight(ctx: FieldContext, a: int) -> Cyc:
     """Weight of an edge with doubled colour a: (-1)^a [a+1]."""
-    pool = _cache(ctx)["edge"]
-    got = pool.get(a)
-    if got is None:
-        got = ctx.quantum_integer(a + 1)
-        if a & 1:
-            got = -got
-        pool[a] = got
-    return got
+    got = ctx.quantum_integer(a + 1)
+    return -got if a & 1 else got
 
 
 def triangle_weight(ctx: FieldContext, a: int, b: int, c: int) -> Cyc:
@@ -335,11 +329,13 @@ def tetrahedron_weight(ctx: FieldContext, colours) -> Cyc:
     sum over the integers z between the largest triangle sum and the
     smallest quad sum (halved colours), empty range giving zero.
     """
-    return _tet_entry(ctx, tuple(colours))[1]
+    return _tet_entry(ctx, tuple(colours))[2]
 
 
 def _tet_entry(ctx: FieldContext, colours: tuple):
-    """(key, value) of ``tetrahedron_weight``: the key is the sorted
+    """(colours, key, value) of ``tetrahedron_weight``, kept per distinct
+    six colours.  The colours are the one tuple kept for them, which the
+    engine's raw-colour memos share as keys; the key is the sorted
     triangle and quad half-sums, which the value depends on alone."""
     pool = _cache(ctx)
     got = pool["tet_raw"].get(colours)    # checked before it was stored
@@ -360,10 +356,10 @@ def _tet_entry(ctx: FieldContext, colours: tuple):
                         for tri in FACE_EDGES)),
            tuple(sorted(sum(colours[k] for k in qd) // 2
                         for qd in _TET_QUADS)))
-    got = pool["tet"].get(key)
-    if got is None:
-        got = pool["tet"][key] = (key, _tet_weight_sum(ctx, *key))
-    pool["tet_raw"][colours] = got
+    value = pool["tet"].get(key)
+    if value is None:
+        value = pool["tet"][key] = _tet_weight_sum(ctx, *key)
+    got = pool["tet_raw"][colours] = (colours, key, value)
     return got
 
 
@@ -429,9 +425,10 @@ def colouring_weight(source, colouring, r: int, q: int = 1) -> Cyc:
 # state sum
 
 # facts that depend on a skeleton's content alone (its validity, Z/2
-# cocycle basis and elimination plan), kept per distinct skeleton while
-# one equal to it is alive: within one call ``tv_odd_fast`` sums at two
-# levels and ``compute --class`` needs the cocycle basis three times
+# cocycle basis, search plan and elimination plan), kept per distinct
+# skeleton while one equal to it is alive: within one call
+# ``tv_odd_fast`` sums at two levels, ``compute --class`` needs the
+# cocycle basis three times and ``verify`` searches four times
 _DERIVED = weakref.WeakKeyDictionary()
 
 
@@ -521,10 +518,11 @@ def _elimination_plan(skel: Skeleton):
     return steps
 
 
-def _local_factor(ctx: FieldContext, colours: tuple, edges: tuple,
+def _local_factor(ctx: FieldContext, entry: tuple, edges: tuple,
                   faces: tuple) -> Cyc:
     """Tetrahedron weight times the weights of the local edges ``edges``
-    and of the triangles on ``faces``, all read off the six colours.
+    and of the triangles on ``faces``, all read off the six colours of
+    ``entry``, a "tet_raw" entry of ``_tet_entry``.
 
     The edge and triangle part depends only on the multisets of edge
     colours and triangle colour triples, and the tetrahedron weight only
@@ -537,7 +535,7 @@ def _local_factor(ctx: FieldContext, colours: tuple, edges: tuple,
     this only when its raw-colour memo ("local_raw") misses, and keeps
     the value returned here.
     """
-    tet_key, tet = _tet_entry(ctx, colours)
+    colours, tet_key, tet = entry
     if tet.is_zero():
         return tet
     key = (tuple(sorted(colours[k] for k in edges)),
@@ -634,8 +632,7 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
     domain = _domain(r, integer_only)
 
     table = {(0,): ctx.one}     # key: active colours, then class bits
-    pool = _cache(ctx)
-    raw_pool, shared = pool["local_raw"], pool["colours"]
+    raw_pool = _cache(ctx)["local_raw"]
     active = []
     for t, new, faces, finished in _derived(skel, _elimination_plan):
         tet_edges = skel.tet_edge_classes[t]
@@ -671,11 +668,11 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
                 tet_colours = six(colours)
                 weight = memo.get(tet_colours)
                 if weight is None:
-                    # one key tuple per distinct six colours, whatever
-                    # the kinds it turns up in
-                    tet_colours = shared.setdefault(tet_colours, tet_colours)
-                    weight = memo[tet_colours] = _local_factor(
-                        ctx, tet_colours, new_edges, faces)
+                    # keyed by the one tuple "tet_raw" keeps per distinct
+                    # six colours, whatever the kinds it turns up in
+                    entry = _tet_entry(ctx, tet_colours)
+                    weight = memo[entry[0]] = _local_factor(
+                        ctx, entry, new_edges, faces)
                 if weight.is_zero():
                     continue
                 bits = 0

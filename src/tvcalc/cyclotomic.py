@@ -48,6 +48,7 @@ __all__ = [
     "Cyc",
     "quantum_integer",
     "bracket_factorial",
+    "MAX_DIGITS",
     "numeric_eval",
 ]
 
@@ -580,6 +581,12 @@ def quantum_integer(ctx: FieldContext, i: int) -> Cyc:
 
 def bracket_factorial(ctx: FieldContext, i: int) -> Cyc:
     return ctx.bracket_factorial(i)
+
+
+# the largest ``--digits`` that ``tv compute`` and the table script
+# accept: the time of ``numeric_eval`` grows faster than linearly in the
+# digits asked for (README, CLI)
+MAX_DIGITS = 10_000
 
 
 def numeric_eval(a: Cyc, digits: int = 15):

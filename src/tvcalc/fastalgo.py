@@ -67,7 +67,7 @@ def adm4_structured(source):
     most sum(2^|kernel| over nonzero cocycles) + #cocycles.
     """
     skel = _checked_skeleton(source)
-    cocycles = list(cocycle_space_1(skel).span())
+    cocycles = list(_derived(skel, cocycle_space_1).span())
     stats = EnumerationStats()
     found = []
     for mask in cocycles:
@@ -182,7 +182,7 @@ def bounds(source, r: int) -> BoundReport:
     """
     skel = _checked_skeleton(source)
     n = len(skel.triangulation.gluings)
-    basis = cocycle_space_1(skel)
+    basis = _derived(skel, cocycle_space_1)
     beta1 = basis.beta1
 
     naive = (r - 1) ** skel.e

@@ -217,10 +217,6 @@ def decompose_symbol(symbol: IntersectionSymbol) -> LoopDecomposition:
     return LoopDecomposition(*counts, p, part[x] // p, part[y] // p, rot)
 
 
-# weights per field context, as the pools of ``colourings``
-_WEIGHT_CACHE: dict = {}
-
-
 def tet_weight_loop(ctx: FieldContext, dec: LoopDecomposition) -> Cyc:
     """Tetrahedron weight straight from loop coordinates.
 
@@ -228,13 +224,7 @@ def tet_weight_loop(ctx: FieldContext, dec: LoopDecomposition) -> Cyc:
     Agrees exactly with the edge-colour formula on the six colours of
     symbol_of(dec).
     """
-    pool = _WEIGHT_CACHE.setdefault(ctx, {})
     pi, pj = dec.p * dec.i, dec.p * dec.j
-    key = (tuple(sorted(dec.vertex_counts)), min(pi, pj), max(pi, pj))
-    got = pool.get(key)
-    if got is not None:
-        return got
-
     # Smallest quad half-sum of the symbol; its parity fixes the sign.
     min_quad = pi + pj + sum(dec.vertex_counts)
     y = min(dec.vertex_counts)
@@ -249,10 +239,7 @@ def tet_weight_loop(ctx: FieldContext, dec: LoopDecomposition) -> Cyc:
         term = term * ctx.inverse_bracket_factorial(pj + z)
         term = term * ctx.inverse_bracket_factorial(z)
         total = total - term if z & 1 else total + term
-    if min_quad & 1:
-        total = -total
-    pool[key] = total
-    return total
+    return -total if min_quad & 1 else total
 
 
 def iter_admissible_symbols(max_entry: int, r: int | None = None):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcalc import cli, serialise_triangulation, tv
+from tvcalc.census import MAX_CENSUS_TETS
 from tvcalc.cli import main
+from tvcalc.cyclotomic import MAX_DIGITS
 
 ONE_VERTEX_SPHERE = """tri 1
 tet 0: 0:1023 0:1023 0:1230 0:3012
@@ -55,6 +57,31 @@ def lens_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def torsion_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "torsion.tri"
+    path.write_text(TORSION_LIKE)
+    return str(path)
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tv: error:"), lines
+
+
+def _valid_level(r, q):
+    return 0 < q < 2 * r and math.gcd(q, r) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_compute_level_and_q_fuzz(lens_path, data):
@@ -62,18 +89,89 @@ def test_compute_level_and_q_fuzz(lens_path, data):
     # line, raised as no exception
     r = data.draw(st.integers(3, 12))
     q = data.draw(st.integers(-3, 2 * r + 3))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["compute", "--file", lens_path, "--r", str(r),
-                     "--q", str(q), "--json"])
-    if 0 < q < 2 * r and math.gcd(q, r) == 1:
-        assert code == 0 and err.getvalue() == ""
-        doc = json.loads(out.getvalue())
+    code, out, err = _run(["compute", "--file", lens_path, "--r", str(r),
+                           "--q", str(q), "--json"])
+    if _valid_level(r, q):
+        assert code == 0 and err == ""
+        doc = json.loads(out)
         assert (doc["r"], doc["q"]) == (r, q)
     else:
-        assert code == 2 and out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("tv: error:"), lines
+        _assert_usage_error(code, out, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compute_options_fuzz(torsion_path, data):
+    # --class, --digits and --algorithm crossed with r and q on a
+    # one-vertex input with one bit of Z/2 cohomology: exit 0 exactly
+    # when every option is valid for the level, else one usage error
+    r = data.draw(st.integers(3, 8))
+    q = data.draw(st.integers(0, 2 * r))
+    algorithm = data.draw(st.sampled_from([None, "naive", "tv4",
+                                           "odd-fast"]))
+    class_bits = data.draw(st.none() | st.text("01x", max_size=3))
+    # above the cap only by a little, so a missing cap fails fast
+    digits = data.draw(st.integers(-3, 40) | st.sampled_from(
+        [MAX_DIGITS + 1, 2 * MAX_DIGITS]))
+    argv = ["compute", "--file", torsion_path, "--r", str(r), "--q", str(q),
+            "--digits", str(digits), "--json"]
+    if algorithm is not None:
+        argv += ["--algorithm", algorithm]
+    if class_bits is not None:
+        argv += ["--class", class_bits]
+    code, out, err = _run(argv)
+
+    valid = (1 <= digits <= MAX_DIGITS and _valid_level(r, q)
+             and class_bits in (None, "0", "1"))
+    if algorithm == "tv4":
+        valid = valid and r == 4 and class_bits is None
+    elif algorithm == "odd-fast":
+        valid = valid and r % 2 == 1 and q == 1 and class_bits is None
+    if not valid:
+        _assert_usage_error(code, out, err)
+        return
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["r"], doc["q"], doc["class"], doc["digits"]) == (
+        r, q, class_bits, digits)
+    if algorithm is not None:
+        assert doc["algorithm"] == algorithm
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["enumerate", "bounds"]),
+       r=st.integers(-3, 9), flags=st.lists(
+           st.sampled_from(["--count-only", "--integer-only"]), unique=True))
+def test_enumerate_and_bounds_level_fuzz(lens_path, command, r, flags):
+    argv = [command, "--file", lens_path, "--r", str(r)]
+    if command == "enumerate":
+        argv += flags
+    code, out, err = _run(argv)
+    if r < 3:
+        _assert_usage_error(code, out, err)
+        return
+    assert code == 0 and err == ""
+    if command == "bounds":
+        assert json.loads(out)["r"] == r
+
+
+@settings(max_examples=25, deadline=None)
+@given(tets=st.integers(-3, 2) | st.sampled_from(
+           [MAX_CENSUS_TETS + 1, 10 ** 6]),
+       flags=st.lists(st.sampled_from(["--one-vertex", "--z2hs"]),
+                      unique=True))
+def test_census_tets_fuzz(tmp_path_factory, tets, flags):
+    # valid sizes are drawn from 1..2 only: n = 4 takes minutes
+    out_dir = tmp_path_factory.mktemp("census")
+    code, out, err = _run(["census", "--tets", str(tets),
+                           "--out", str(out_dir)] + flags)
+    if not 1 <= tets <= 2:
+        _assert_usage_error(code, out, err)
+        assert not any(out_dir.iterdir())
+        return
+    assert code == 0 and err == ""
+    written = sorted(out_dir.glob("*.tri"))
+    assert out.splitlines()[-1] == f"wrote {len(written)} file(s) to {out_dir}"
 
 
 def test_compute_human_output(sphere_file, capsys):
@@ -289,11 +387,19 @@ def test_compute_value_matches_library(lens_file, capsys):
     assert doc["exact"] == tv(tri, 5, 1).to_strings()
 
 
-def test_compute_digits_must_be_positive(sphere_file, capsys):
-    for digits in ("0", "-3"):
+def test_compute_digits_must_be_positive(sphere_file, tmp_path, capsys):
+    for digits in ("0", "-3", str(MAX_DIGITS + 1), "1000000"):
         assert main(["compute", "--file", sphere_file, "--r", "5",
                      "--digits", digits]) == 2
         assert "--digits" in capsys.readouterr().err
+    # the bound is checked before any work, the input's parse included
+    missing = str(tmp_path / "nope.tri")
+    assert main(["compute", "--file", missing, "--r", "5",
+                 "--digits", "1000000"]) == 2
+    assert "--digits" in capsys.readouterr().err
+    assert main(["compute", "--file", sphere_file, "--r", "5", "--json",
+                 "--digits", str(MAX_DIGITS)]) == 0
+    assert json.loads(capsys.readouterr().out)["digits"] == MAX_DIGITS
 
 
 def test_disconnected_input_is_invalid(tmp_path, capsys):

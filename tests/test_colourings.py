@@ -375,7 +375,13 @@ def test_weight_caches_stay_bounded(census1, census2):
     assert ctx.bracket_factorial(r - 1) * (dense * dense) != ctx.zero
     assert ctx._packed == before
 
+    # the documented pools only: edge weights are the context's quantum
+    # integers, and "tet_raw" keeps the one key tuple per six colours
     pool = _cache(ctx)
+    assert set(pool) == {"triangle", "tet", "tet_raw", "head", "local",
+                         "local_raw", "vertex"}
+    for colours, (kept, tet_key, value) in pool["tet_raw"].items():
+        assert kept is colours and pool["tet"][tet_key] is value
     assert pool["local"]
     tet_keys = {tet_key for tet_key, _ in pool["local"]}
     rest_keys = {rest_key for _, rest_key in pool["local"]}
@@ -384,7 +390,7 @@ def test_weight_caches_stay_bounded(census1, census2):
 
     # the raw-colour memo in front of it: one memo per step kind (sorted
     # new edge positions, new faces), keyed by six colours that are all
-    # in "tet_raw", each the one tuple "colours" keeps for them, and
+    # in "tet_raw", each the one tuple "tet_raw" keeps for them, and
     # holding only values of "local" or zero tetrahedron weights of
     # "tet_raw", so it adds no values of its own; at r = 7 on inputs
     # with several tetrahedra too
@@ -401,9 +407,9 @@ def test_weight_caches_stay_bounded(census1, census2):
             assert set(faces) <= set(range(4))
             assert set(memo) <= set(pool["tet_raw"])
             for colours, value in memo.items():
-                assert pool["colours"][colours] is colours
+                assert pool["tet_raw"][colours][0] is colours
                 if value.is_zero():
-                    assert value is pool["tet_raw"][colours][1]
+                    assert value is pool["tet_raw"][colours][2]
                 else:
                     assert id(value) in local_values
 

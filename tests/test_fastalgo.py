@@ -92,11 +92,10 @@ def test_zero_colouring_weight_is_the_vertex_factor(census1, census2):
             skel, (0,) * skel.e, 3)
 
 
-def test_one_compute_builds_basis_and_plan_once(
-        census1, monkeypatch, tmp_path):
-    # tv_odd_fast sums at levels 3 and r and reads beta1, and compute
-    # --class checks the class, searches and sums; each builds the
-    # skeleton's cocycle basis and elimination plan once
+def _count_builds(monkeypatch, **facts):
+    """Counts, from an empty memo, of the builds of the cocycle basis
+    ("basis") and of the ``colourings`` skeleton facts named by the
+    values of ``facts`` (count name -> function name)."""
     calls = {}
 
     def counted(name, build):
@@ -108,16 +107,27 @@ def test_one_compute_builds_basis_and_plan_once(
     basis = counted("basis", cocycle_space_1)
     for module in (cli, colourings, fastalgo):
         monkeypatch.setattr(module, "cocycle_space_1", basis)
-    monkeypatch.setattr(colourings, "_elimination_plan",
-                        counted("plan", colourings._elimination_plan))
+    for name, function in facts.items():
+        monkeypatch.setattr(colourings, function,
+                            counted(name, getattr(colourings, function)))
     monkeypatch.setattr(colourings, "_DERIVED", weakref.WeakKeyDictionary())
+    return calls
 
+
+def test_one_compute_builds_basis_and_plan_once(
+        census1, monkeypatch, tmp_path):
+    # tv4 sums and walks the cocycles, tv_odd_fast sums at levels 3 and
+    # r and reads beta1, and compute --class checks the class, searches
+    # and sums; each builds the skeleton's cocycle basis and elimination
+    # plan once
+    calls = _count_builds(monkeypatch, plan="_elimination_plan")
     tri = next(t for t in census1 if build_skeleton(t).v == 1
                and cocycle_space_1(build_skeleton(t)).beta1 > 0)
     path = tmp_path / "input.tri"
     path.write_text(serialise_triangulation(tri))
     common = ["compute", "--file", str(path), "--json"]
-    for argv in (common + ["--r", "5", "--algorithm", "odd-fast"],
+    for argv in (common + ["--r", "4"],
+                 common + ["--r", "5", "--algorithm", "odd-fast"],
                  common + ["--r", "7"],
                  common + ["--r", "5", "--class", "1"],
                  common + ["--r", "6", "--class", "0"]):
@@ -129,6 +139,25 @@ def test_one_compute_builds_basis_and_plan_once(
     calls.update(basis=0, plan=0)
     tv_odd_fast(build_skeleton(tri), 9)
     assert calls == {"basis": 1, "plan": 1}
+
+
+def test_one_verify_builds_each_skeleton_fact_once(
+        census1, monkeypatch, tmp_path, capsys):
+    # verify searches at levels 3 and r, whole colours only and inside
+    # bounds, sums every class and, at r = 4, walks the cocycles; the
+    # cocycle basis, search plan and elimination plan are each built once
+    calls = _count_builds(monkeypatch, search="_search_plan",
+                          plan="_elimination_plan")
+    tri = next(t for t in census1 if build_skeleton(t).v == 1
+               and cocycle_space_1(build_skeleton(t)).beta1 > 0)
+    path = tmp_path / "input.tri"
+    path.write_text(serialise_triangulation(tri))
+    for r in (4, 5, 6):
+        gc.collect()
+        calls.update(basis=0, search=0, plan=0)
+        assert cli.main(["verify", "--file", str(path), "--r", str(r)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert calls == {"basis": 1, "search": 1, "plan": 1}, r
 
 
 def test_tv_odd_fast_rejects_bad_input(census1, census2):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tvcalc.census import MAX_CENSUS_TETS
+from tvcalc.cyclotomic import MAX_DIGITS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -54,6 +55,8 @@ def test_invariant_table_rows(capsys):
     ("bounds_table", ["--limit", "0", "--max-tets", "1"], "--limit"),
     ("invariant_table", ["--max-tets", "0"], "--max-tets"),
     ("invariant_table", ["--max-tets", "-2"], "--max-tets"),
+    ("invariant_table", ["--digits", str(MAX_DIGITS + 1), "--max-tets", "1"],
+     "--digits"),
 ])
 def test_scripts_reject_bad_arguments_up_front(name, argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
