@@ -10,6 +10,7 @@ from .colourings import (
     admissible_colouring,
     admissible_triple,
     colouring_weight,
+    count_admissible,
     enumerate_admissible,
     state_sum,
     sweep_sum,

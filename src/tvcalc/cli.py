@@ -23,6 +23,7 @@ from .colourings import (
     _checked_skeleton,
     _derived,
     admissible_colouring,
+    count_admissible,
     enumerate_admissible,
     state_sum,
     sweep_sum,
@@ -189,7 +190,7 @@ def _cmd_compute(args) -> int:
     elif algorithm == "odd-fast":
         value = tv_odd_fast(skel, args.r)
         # counts describe the level-r integer-only search
-        _, stats = enumerate_admissible(skel, args.r, integer_only=True)
+        stats = count_admissible(skel, args.r, integer_only=True)
     else:
         value, stats = state_sum(skel, args.r, args.q,
                                  class_coords=class_coords)
@@ -217,12 +218,14 @@ def _cmd_enumerate(args) -> int:
     skel = _load_skeleton(args.file, args.r)
     if isinstance(skel, int):
         return skel
-    colourings, stats = enumerate_admissible(
-        skel, args.r, integer_only=args.integer_only)
     if args.count_only:
-        print(f"admissible: {len(colourings)}")
+        stats = count_admissible(skel, args.r,
+                                 integer_only=args.integer_only)
+        print(f"admissible: {stats.admissible_count}")
         print(f"nodes visited: {stats.nodes_visited}")
         return 0
+    colourings, _ = enumerate_admissible(
+        skel, args.r, integer_only=args.integer_only)
     for col in colourings:
         print(" ".join(str(a) for a in col))
     return 0
@@ -275,10 +278,10 @@ def _run_verify(skel, r: int) -> int:
             failures += 1
 
     basis = _derived(skel, cocycle_space_1)
-    level3, _ = enumerate_admissible(skel, 3)
+    level3 = count_admissible(skel, 3).admissible_count
     check("level-3 count is 2^(v-1+beta1)",
-          len(level3) == 1 << (skel.v - 1 + basis.beta1),
-          f"{len(level3)} colourings, beta1={basis.beta1}")
+          level3 == 1 << (skel.v - 1 + basis.beta1),
+          f"{level3} colourings, beta1={basis.beta1}")
 
     colourings, stats = enumerate_admissible(skel, r)
     check(f"level-{r} enumeration self-consistent",
@@ -349,7 +352,7 @@ def _run_verify(skel, r: int) -> int:
           all(report.actual <= b for b in applicable),
           report.to_json())
 
-    _, int_stats = enumerate_admissible(skel, r, integer_only=True)
+    int_stats = count_admissible(skel, r, integer_only=True)
     check("integer-only search visits no more nodes",
           int_stats.nodes_visited <= stats.nodes_visited,
           f"{int_stats.nodes_visited} <= {stats.nodes_visited}")

@@ -15,7 +15,9 @@ pair (``_third_colours``).  It is the search behind
 ``enumerate_admissible`` (all edges, in an order chosen so triangles
 complete as early as possible), behind each step of the elimination
 engine (a tetrahedron's new edges) and behind the level-4 cocycle walk
-of ``fastalgo``.  ``EnumerationStats.nodes_visited``
+of ``fastalgo``; ``count_admissible`` runs the search of
+``enumerate_admissible`` keeping no colouring.
+``EnumerationStats.nodes_visited``
 counts the fully assigned candidates it builds: every value tried at the
 last slot, or 1 when there are no slots.  Pruned interior branches never
 build a candidate and are not counted.
@@ -27,9 +29,11 @@ skeleton the zero class is the whole-colour sum.  The walk runs only at
 the base q of a level, 1 or (for even q at odd r) r + 1, and a value at
 any other q is the image of the base value under the field automorphism
 x -> x^s (``Cyc.galois``), because every weight is a rational function
-of zeta = x^q.  ``sweep_sum`` multiplies out the weight of each
-colouring of a given list, at (r, q) directly; it is the engine's
-independent oracle.
+of zeta = x^q.  Inside the engine a table value is one integer modulo
+2^(rw) + 1 (x -> 2^w, as Phi_2r divides x^r + 1), at a slot width w
+proven step by step and read back as a ``Cyc`` at the end.
+``sweep_sum`` multiplies out the weight of each colouring of a given
+list, at (r, q) directly; it is the engine's independent oracle.
 
 Weights are cached per field context: triangle and tetrahedron
 weights (an edge weight is a quantum integer, which the context keeps),
@@ -39,20 +43,29 @@ tetrahedron key and edge-and-triangle key ("local"), and in front of
 those the same factors per step kind (new edge positions, new faces)
 and raw six colours ("local_raw"), which holds no values of its own
 and is keyed by the one tuple per distinct six colours that "tet_raw"
-keeps.  The engine asks for at most two contexts per level.  Every key
-is built from colours or half-sums below r, so each pool is bounded by
-a function of the level (README, Library).  The cocycle basis, the
+keeps, and the engine's width hint ("factor_bits").  The engine asks
+for at most two contexts per level.  Every key is built from colours
+or half-sums below r, so each pool is bounded by a function of the
+level (README, Library).  The cocycle basis, the
 search and elimination plans and the validity of a skeleton are built
 once per distinct skeleton (``_derived``).
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .cyclotomic import Cyc, FieldContext, field_init
+from .cyclotomic import (
+    Cyc,
+    FieldContext,
+    field_init,
+    negacyclic_fold,
+    negacyclic_pack,
+    negacyclic_unpack,
+)
 from .homology import CocycleBasis, cocycle_space_1, reduce_colouring
 from .triangulation import (
     FACE_EDGES,
@@ -67,6 +80,7 @@ __all__ = [
     "admissible_triple",
     "admissible_colouring",
     "enumerate_admissible",
+    "count_admissible",
     "vertex_weight",
     "edge_weight",
     "triangle_weight",
@@ -135,29 +149,33 @@ def _third_colours(r: int) -> tuple:
                  for a in range(r - 1))
 
 
-def _backtrack(r: int, domain, colours, slots, checks, stats=None):
+def _backtrack(r: int, domain, colours, slots, checks, stats=None,
+               keep=True, accept=None):
     """Every filling of ``colours`` at ``slots`` that passes ``checks``.
 
     The slots are filled in order, each with the values of ``domain`` in
     increasing order.  checks[k] lists the position triples decided once
     the first k slots are filled (checks[0] reads fixed entries only);
     each triple is tested against the level's ``_third_colours`` lookup
-    at that depth and a failure prunes the branch.  Returns the
-    surviving colourings as tuples, in lexicographic order along the
-    slots.  With ``stats``, ``nodes_visited`` grows by every value tried
-    at the last slot, or by 1 when there are no slots: the fully
+    at that depth and a failure prunes the branch.  A full filling is
+    taken when ``accept`` is None or true on the colour list.  Returns
+    the taken colourings as tuples, in lexicographic order along the
+    slots, or [] when not ``keep``.  With ``stats``, ``admissible_count``
+    grows by every filling taken and ``nodes_visited`` by every value
+    tried at the last slot, or by 1 when there are no slots: the fully
     assigned candidates built.
     """
     ranges = _third_colours(r)
     colours = list(colours)
     found = []
+    count = 0
     last = len(slots) - 1
 
     def walk(k):
-        if k > last:
-            found.append(tuple(colours))
-            return
-        if k == last and stats is not None:
+        # the last slot takes its full fillings in this loop
+        nonlocal count
+        leaf = k == last
+        if leaf and stats is not None:
             stats.nodes_visited += len(domain)
         slot = slots[k]
         tests = checks[k + 1]
@@ -167,13 +185,25 @@ def _backtrack(r: int, domain, colours, slots, checks, stats=None):
                 if colours[c] not in ranges[colours[a]][colours[b]]:
                     break
             else:
-                walk(k + 1)
+                if not leaf:
+                    walk(k + 1)
+                elif accept is None or accept(colours):
+                    count += 1
+                    if keep:
+                        found.append(tuple(colours))
 
-    if last < 0 and stats is not None:
-        stats.nodes_visited += 1
     if all(colours[c] in ranges[colours[a]][colours[b]]
            for a, b, c in checks[0]):
-        walk(0)
+        if last >= 0:
+            walk(0)
+        elif accept is None or accept(colours):
+            count += 1
+            if keep:
+                found.append(tuple(colours))
+    if last < 0 and stats is not None:
+        stats.nodes_visited += 1
+    if stats is not None:
+        stats.admissible_count += count
     return found
 
 
@@ -237,25 +267,41 @@ def enumerate_admissible(
 
     integer_only restricts the search to whole colours (even doubled
     values).  class_coords keeps only colourings whose half-integer
-    pattern represents that cohomology class; it filters emitted results
-    and does not shrink the search tree.  Returns (list of colourings,
-    each a tuple of doubled colours per edge class, EnumerationStats).
+    pattern represents that cohomology class; it is tested at each
+    full colouring and does not shrink the search tree.  Returns (list
+    of colourings, each a tuple of doubled colours per edge class,
+    EnumerationStats).
     """
+    return _search(source, r, integer_only, class_coords, keep=True)
+
+
+def count_admissible(
+    source,
+    r: int,
+    integer_only: bool = False,
+    class_coords=None,
+) -> EnumerationStats:
+    """The statistics of ``enumerate_admissible`` with the same
+    arguments, from the same search, keeping no colouring."""
+    return _search(source, r, integer_only, class_coords, keep=False)[1]
+
+
+def _search(source, r: int, integer_only: bool, class_coords, keep: bool):
     if r < 3:
         raise ValueError(f"r must be at least 3, got {r}")
     skel = _as_skeleton(source)
+    accept = None
     if class_coords is not None:
         basis = _derived(skel, cocycle_space_1)
         target = _class_target(basis, class_coords)
 
+        def accept(colours):
+            return basis.class_bits(reduce_colouring(colours)) == target
+
     order, checks = _derived(skel, _search_plan)
     stats = EnumerationStats()
     found = _backtrack(r, _domain(r, integer_only), [0] * skel.e, order,
-                       checks, stats)
-    if class_coords is not None:
-        found = [doubled for doubled in found
-                 if basis.class_bits(reduce_colouring(doubled)) == target]
-    stats.admissible_count = len(found)
+                       checks, stats, keep, accept)
     return found, stats
 
 
@@ -274,7 +320,8 @@ def _cache(ctx: FieldContext) -> dict:
     got = _CACHES.get(ctx)
     if got is None:
         got = {"triangle": {}, "tet": {}, "tet_raw": {}, "head": {},
-               "local": {}, "local_raw": {}, "vertex": None}
+               "local": {}, "local_raw": {}, "vertex": None,
+               "factor_bits": 0}
         _CACHES[ctx] = got
     return got
 
@@ -600,23 +647,55 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
     """State sum in the context ``ctx``, by dynamic programming over
     tetrahedra.
 
-    The fixed-parameter algorithm of Burton, Maria and Spreer
-    (arXiv:1503.04099).  The table maps (colours of the active edge
-    classes, Z/2 class bits) to the summed weight of the partial
-    colourings behind that key.  Each step of ``_elimination_plan``
-    extends every key by colours on the tetrahedron's new edges, rejects
-    extensions that make a newly seen triangle class inadmissible,
-    multiplies by one cached local factor (new edge weights, newly seen
-    triangle weights, the tetrahedron weight), and sums out the edge
-    classes the tetrahedron finishes.  The factor is looked up by the
-    six raw colours in the "local_raw" memo of the step's kind first,
-    and built by ``_local_factor`` only on a miss.  ``reduce_colouring``
-    is linear, so the class bits are an XOR of per-edge contributions
-    over the odd colours; without a class, or on the whole colours, no
-    edge contributes and the loop is empty.  The vertex factor comes in
-    once at the end.  On a
-    one-vertex skeleton the zero class holds exactly the whole-colour
-    colourings, so only the even colours are tried there.
+    ``_packed_walk``'s value, read back in Z[x]/(x^r + 1), reduced by
+    Phi_2r, over its denominator, times the vertex factor.
+    """
+    value, den, _, width = _packed_walk(skel, ctx, class_coords)
+    total = Cyc(ctx, ctx.reduce_negacyclic(
+        negacyclic_unpack(value, ctx.r, width)), den)
+    return total * vertex_weight(ctx) ** skel.v
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per slot that hold every coefficient below 2^bound in
+    absolute value: one more, for the sign."""
+    return bound + 1
+
+
+def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
+                 width=None):
+    """The fixed-parameter algorithm of Burton, Maria and Spreer
+    (arXiv:1503.04099), with table values packed at ``width`` bits per
+    slot, or at a first width from the context's hint when None.
+
+    Returns (packed entry of the class or 0, product of the per-step
+    denominators, bound, final width): every coefficient of the
+    unreduced result lies below 2^bound, and the width is at least
+    ``_slot_width(bound)``.
+
+    The table maps (colours of the active edge classes, Z/2 class bits)
+    to the packed sum of the products of local factors behind that key.
+    Each step of ``_elimination_plan`` extends every key by colours on
+    the tetrahedron's new edges, rejects extensions that make a newly
+    seen triangle class inadmissible, multiplies by one cached local
+    factor (new edge weights, newly seen triangle weights, the
+    tetrahedron weight; looked up by raw colours in "local_raw", built
+    by ``_local_factor`` on a miss), and sums out the edge classes the
+    tetrahedron finishes.  The class bits are an XOR of per-edge
+    contributions over the odd colours, as ``reduce_colouring`` is
+    linear.  On a one-vertex skeleton the zero class holds exactly the
+    whole-colour colourings, so only the even colours are tried there.
+
+    A step packs its factors as numerator times D_t / den at x = 2^w,
+    D_t the lcm of the step's denominators, and folds each new value
+    once.  With L_t the largest l1 norm of step t's packed factors,
+    |f g|_inf <= |f|_inf |g|_1 in Z[x]/(x^r + 1) and at most |domain|^k
+    pairs land on one new key, k the classes the step finishes; so each
+    table coefficient is at most |domain|^E L_1 ... L_t.  The first
+    width gives each step to come the bits of the largest L_t seen at
+    this context (the "factor_bits" hint).  When the bound outgrows the
+    width, the table, still exact, is repacked wider (README, State-sum
+    engine).
     """
     r = ctx.r
     integer_only = False
@@ -631,10 +710,15 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
             edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
     domain = _domain(r, integer_only)
 
-    table = {(0,): ctx.one}     # key: active colours, then class bits
-    raw_pool = _cache(ctx)["local_raw"]
+    pool = _cache(ctx)
+    raw_pool = pool["local_raw"]
+    steps = _derived(skel, _elimination_plan)
+    limit = len(domain) ** skel.e
+    den = 1
+    packed = {}                 # id of a factor -> (factor, packed)
+    table = {(0,): 1}           # key: active colours, then class bits
     active = []
-    for t, new, faces, finished in _derived(skel, _elimination_plan):
+    for done, (t, new, faces, finished) in enumerate(steps, 1):
         tet_edges = skel.tet_edge_classes[t]
         old = [e for e in active if e in tet_edges]
         slot = {e: i for i, e in enumerate(old + new)}
@@ -655,8 +739,6 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
         new_bits = [(slot[e], edge_bits[e]) for e in new if edge_bits[e]]
         new_slots = range(len(old), len(old) + len(new))
         padding = (0,) * len(new)
-
-        options = {}
         # local factors by raw colours, one memo per step kind: the new
         # edge positions (sorted, so equal kinds share) and new faces
         memo = raw_pool.setdefault((new_edges, faces), {})
@@ -682,36 +764,66 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
                 out.append((tail_of(colours), bits, weight))
             return out
 
-        nxt = {}
-        for key, value in table.items():
+        options = {}
+        for key in table:
             sig = sig_of(key)
-            opts = options.get(sig)
-            if opts is None:
-                opts = options[sig] = factors(sig)
+            if sig not in options:
+                options[sig] = factors(sig)
+        weights = {id(weight): weight for opts in options.values()
+                   for _, _, weight in opts}
+        step_den = math.lcm(*[w.den for w in weights.values()])
+        norm = max((sum(map(abs, w.num)) * (step_den // w.den)
+                    for w in weights.values()), default=0)
+        limit *= norm
+        den *= step_den
+        hint = pool["factor_bits"] = max(pool["factor_bits"],
+                                         norm.bit_length())
+        if width is None or _slot_width(limit.bit_length()) > width:
+            wider = _slot_width(limit.bit_length()
+                                + (len(steps) - done) * hint)
+            if width is not None:
+                # the table before this step is within the old width
+                table = {key: negacyclic_pack(
+                    negacyclic_unpack(value, r, width), wider)
+                    for key, value in table.items()}
+                packed.clear()
+            width = wider
+        scaled = {}
+        for key, w in weights.items():
+            got = packed.get(key)
+            if got is None:
+                got = packed[key] = (w, negacyclic_pack(w.num, width))
+            scaled[key] = got[1] * (step_den // w.den)
+        for sig, opts in options.items():
+            options[sig] = [(tail, bits, scaled[id(weight)])
+                            for tail, bits, weight in opts]
+
+        nxt = {}
+        get = nxt.get
+        for key, value in table.items():
             head = keep_old(key)
             bits = key[-1]
-            for tail, ext_bits, weight in opts:
+            for tail, ext_bits, weight in options[sig_of(key)]:
                 new_key = head + tail + (bits ^ ext_bits,)
-                term = value * weight
-                got = nxt.get(new_key)
-                nxt[new_key] = term if got is None else got + term
-        table = nxt
+                nxt[new_key] = get(new_key, 0) + value * weight
+        shift = r * width
+        table = {key: negacyclic_fold(value, shift)
+                 for key, value in nxt.items()}
         active = ([e for e in active if e not in finished]
                   + [new[j] for j in keep_new])
 
     # every edge class is finished, so only the class bits remain
-    total = table.get((target,), ctx.zero)
-    return total * vertex_weight(ctx) ** skel.v
+    return table.get((target,), 0), den, limit.bit_length(), width
 
 
 def state_sum(source, r: int, q: int = 1, class_coords=None):
     """Exact invariant value plus the statistics of the colouring search.
 
     The value comes from the elimination engine; the statistics from
-    ``enumerate_admissible`` with the same class.
+    ``count_admissible`` with the same class.
     """
     skel = _checked_skeleton(source)
-    _, stats = enumerate_admissible(skel, r, class_coords=class_coords)
+    stats = count_admissible(skel, r, class_coords=class_coords)
     value = _elimination_sum(skel, r, q, class_coords=class_coords)
     return value, stats
 

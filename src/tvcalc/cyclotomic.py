@@ -27,8 +27,11 @@ bits rounded up to whole bytes, and the fold is a split of the product at
 r w bits.  When the right operand is a bracket factorial or an inverse
 one from the context's tables, the context keeps it packed, once per slot
 width, so the product packs only its left operand; no other value is
-kept packed.  The extended Euclidean algorithm in ``Cyc.invert`` runs
-only for division or negative powers by field elements.
+kept packed.  The split (``negacyclic_fold``) and the reduction by
+Phi_2r (``FieldContext.reduce_negacyclic``) also serve the state-sum
+engine's packed values.  The extended Euclidean algorithm in
+``Cyc.invert`` runs only for division or negative powers by field
+elements.
 """
 from __future__ import annotations
 
@@ -156,6 +159,24 @@ class FieldContext:
     def __repr__(self) -> str:
         return f"FieldContext(r={self.r}, q={self.q})"
 
+    def reduce_negacyclic(self, conv: list) -> tuple:
+        """Power-basis coefficients of the element of Z[x]/(x^r + 1)
+        with the r coefficients ``conv`` (overwritten): a reduction by
+        Phi_2r, none at r = 2^k, over the modulus's nonzero terms."""
+        deg = self.degree
+        ones, minus_ones, others = self._mod_terms
+        for k in range(self.r - 1, deg - 1, -1):
+            c = conv[k]
+            if c:
+                base = k - deg
+                for i in ones:
+                    conv[base + i] -= c
+                for i in minus_ones:
+                    conv[base + i] += c
+                for i, m in others:
+                    conv[base + i] -= c * m
+        return tuple(conv[:deg])
+
     def _kronecker_slots(self, wb: int) -> tuple:
         """For slots of wb bytes: half a slot, that half in each of the
         degree slots of an operand and in each of the r slots of a
@@ -280,6 +301,39 @@ KRONECKER_DEGREE = 16
 KRONECKER_NONZERO = 10
 
 
+def negacyclic_fold(value: int, shift: int) -> int:
+    """``value`` modulo 2^shift + 1 folded once (2^shift = -1): congruent,
+    not reduced."""
+    return (value & ((1 << shift) - 1)) - (value >> shift)
+
+
+def negacyclic_pack(coeffs, width: int) -> int:
+    """``coeffs`` (ascending, any size and sign) at x = 2^width, the ring
+    map Z[x]/(x^r + 1) -> Z/(2^(r width) + 1)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def negacyclic_unpack(value: int, r: int, width: int) -> list:
+    """The r coefficients that ``negacyclic_pack`` maps to ``value``
+    modulo 2^(r width) + 1, each below 2^(width - 1) in absolute value:
+    the balanced digits of the balanced residue."""
+    modulus = (1 << (r * width)) + 1
+    value %= modulus
+    if value > modulus >> 1:
+        value -= modulus
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    digits = []
+    for _ in range(r):
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
+
+
 def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple, b_key=None):
     """The product of the nonzero coefficient vectors a and b modulo
     x^r + 1, as r integers.  ``b_key`` is b's (inverse, i) when b is a
@@ -313,15 +367,13 @@ def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple, b_key=None):
         if packed_b is None:
             packed_b = store[b_key] = pack(b)
     prod = pack(a) * packed_b
-    # x^r = -1: the low r slots, taken balanced, minus the slots above
-    # them.  Their signed sum is below 2^(rw - 1) in absolute value, so
-    # the balanced residue modulo 2^(rw) is exactly the low part.
+    # x^r = -1: the fold gives the folded value X, |X| < 2^(rw - 1), or
+    # X + 2^(rw) + 1 when the low r slots are negative
     shift = r * w
-    low = prod & ((1 << shift) - 1)
-    if low >> (shift - 1):
-        low -= 1 << shift
-    data = (low - ((prod - low) >> shift) + unpack_off).to_bytes(
-        r * wb, "little")
+    low = negacyclic_fold(prod, shift)
+    if low >= 1 << (shift - 1):
+        low -= (1 << shift) + 1
+    data = (low + unpack_off).to_bytes(r * wb, "little")
     return [c - half for c in map(int.from_bytes, slots.unpack(data),
                                   repeat("little", r))]
 
@@ -437,22 +489,10 @@ class Cyc:
                             conv[k] += x * y
                         else:
                             conv[k - r] -= x * y
-        # reduce the rest by Phi_2r (nothing at r = 2^k, one step at
-        # prime r), over its nonzero coefficients only
-        ones, minus_ones, others = ctx._mod_terms
-        for k in range(r - 1, deg - 1, -1):
-            c = conv[k]
-            if c:
-                base = k - deg
-                for i in ones:
-                    conv[base + i] -= c
-                for i in minus_ones:
-                    conv[base + i] += c
-                for i, m in others:
-                    conv[base + i] -= c * m
         # an integral product is already normalised
         den = self.den * other.den
-        return Cyc(ctx, tuple(conv[:deg]), den, _normalised=den == 1)
+        return Cyc(ctx, ctx.reduce_negacyclic(conv), den,
+                   _normalised=den == 1)
 
     __rmul__ = __mul__
 

@@ -20,7 +20,7 @@ from .colourings import (
     _backtrack,
     _checked_skeleton,
     _derived,
-    enumerate_admissible,
+    count_admissible,
     sweep_sum,
     tv,
     tv_at_class,
@@ -171,7 +171,7 @@ class BoundReport:
 
 
 def bounds(source, r: int) -> BoundReport:
-    """Compare the enumerated colouring count against its upper bounds.
+    """Compare the admissible-colouring count against its upper bounds.
 
     naive: full domain size, (r-1)^edges.  At r = 4, kernel_sum sums
     2^|kernel| over nonzero cocycles plus one per cocycle, and
@@ -201,8 +201,8 @@ def bounds(source, r: int) -> BoundReport:
         elif r in (6, 7):
             small_level = 3 ** n + 1
 
-    colourings, stats = enumerate_admissible(skel, r)
-    actual = len(colourings)
+    stats = count_admissible(skel, r)
+    actual = stats.admissible_count
 
     sharp = tuple(sorted(
         name for name, value in (

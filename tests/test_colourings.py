@@ -12,6 +12,7 @@ from tvcalc import (
     build_skeleton,
     cocycle_space_1,
     colouring_weight,
+    count_admissible,
     enumerate_admissible,
     enumerate_census,
     field_init,
@@ -115,14 +116,18 @@ def test_integer_only_is_the_even_subset(census2):
 
 
 def test_class_filter_partitions_colourings(census1):
+    # the counting search gives the statistics of the listing one
     for tri in census1:
         skel = build_skeleton(tri)
         basis = cocycle_space_1(skel)
-        full, _ = enumerate_admissible(skel, 5)
+        full, stats = enumerate_admissible(skel, 5)
+        assert count_admissible(skel, 5) == stats
         seen = set()
         for bits in range(1 << basis.beta1):
             coords = tuple((bits >> k) & 1 for k in range(basis.beta1))
-            part, _ = enumerate_admissible(skel, 5, class_coords=coords)
+            part, stats = enumerate_admissible(skel, 5, class_coords=coords)
+            assert stats.admissible_count == len(part)
+            assert count_admissible(skel, 5, class_coords=coords) == stats
             part_set = set(part)
             assert not part_set & seen
             seen |= part_set
@@ -173,6 +178,8 @@ def test_node_counts_match_prefix_oracle(census1, census2):
                 want = len(domain) * _oracle_prefix_count(
                     skel, r, [None] * skel.e, order[:-1], domain)
                 assert stats.nodes_visited == want, (tri, r, integer_only)
+                assert count_admissible(
+                    skel, r, integer_only=integer_only) == stats
 
 
 def test_level4_node_counts_match_prefix_oracle(census1, census2):
@@ -376,10 +383,12 @@ def test_weight_caches_stay_bounded(census1, census2):
     assert ctx._packed == before
 
     # the documented pools only: edge weights are the context's quantum
-    # integers, and "tet_raw" keeps the one key tuple per six colours
+    # integers, "tet_raw" keeps the one key tuple per six colours, and
+    # the engine's width hint is one int
     pool = _cache(ctx)
     assert set(pool) == {"triangle", "tet", "tet_raw", "head", "local",
-                         "local_raw", "vertex"}
+                         "local_raw", "vertex", "factor_bits"}
+    assert type(pool["factor_bits"]) is int and pool["factor_bits"] > 0
     for colours, (kept, tet_key, value) in pool["tet_raw"].items():
         assert kept is colours and pool["tet"][tet_key] is value
     assert pool["local"]

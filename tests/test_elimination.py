@@ -24,8 +24,18 @@ from tvcalc.colourings import (
     _elimination_plan,
     _elimination_sum,
     _elimination_walk,
+    _packed_walk,
+    _slot_width,
 )
-from tvcalc.cyclotomic import field_init
+from tvcalc.cyclotomic import (
+    Cyc,
+    FieldContext,
+    field_init,
+    negacyclic_fold,
+    negacyclic_pack,
+    negacyclic_unpack,
+)
+from tvcalc.fastalgo import tv_odd_fast
 
 
 def _valid_q(r):
@@ -112,6 +122,134 @@ def test_pachner_walks_up_to_seven_tetrahedra(census2, seed):
             found, _ = enumerate_admissible(skel, r)
             assert _elimination_sum(skel, r, 1) == sweep_sum(
                 skel, found, r, 1), (seed, tri.n, r)
+
+
+def _seed_walk(tri, seed, sizes):
+    """The members of sizes on a 2-3 walk from tri, moving on a random
+    internal triangle with random.Random(seed)."""
+    rng = random.Random(seed)
+    members = {}
+    while tri.n < max(sizes):
+        tri = pachner_23(tri, rng.choice(_internal_triangles(tri)))
+        if tri.n in sizes:
+            members[tri.n] = tri
+    return [members[n] for n in sorted(sizes)]
+
+
+def test_odd_fast_at_size_matches_the_sweep_of_its_base(census2):
+    # the seed-7 walk from census_t2_0001 at 12 to 16 tetrahedra: packed
+    # widths above 100 bits at r = 9, one vertex throughout, so every
+    # member's odd-fast value is the swept invariant of the base
+    base = census2[1]
+    found, _ = enumerate_admissible(base, 9)
+    want = sweep_sum(build_skeleton(base), found, 9, 1)
+    for tri in _seed_walk(base, 7, (12, 14, 16)):
+        assert tv_odd_fast(tri, 9) == want, tri.n
+
+
+def test_width_bound_holds_every_coefficient(census_skeletons):
+    # read at a width far above its bound, the unreduced result of a
+    # walk has no coefficient of 2^bound or more, at both base contexts
+    # of a level, for the full sum and every class
+    width = 1024
+    for index, skel in enumerate(census_skeletons):
+        for r in range(3, 9):
+            for base in (1, r + 1) if r & 1 else (1,):
+                ctx = field_init(r, base)
+                for coords in [None] + _classes(skel):
+                    value, _, bound, used = _packed_walk(skel, ctx, coords,
+                                                         width)
+                    assert used == width and _slot_width(bound) <= width
+                    top = max(map(abs, negacyclic_unpack(value, r, width)))
+                    assert top < 1 << bound, (index, r, base, coords)
+
+
+@pytest.mark.parametrize("r", [3, 4, 6, 9])
+def test_extreme_coefficients_round_trip_at_the_slot_width(r):
+    # coefficients of 2^bound - 1 in absolute value, packed at the width
+    # the rule gives for that bound, from any representative modulo
+    # 2^(r w) + 1, come back exactly; products folded once stay exact
+    ctx = field_init(r, 1)
+    rng = random.Random(r)
+    for bound in (1, 2, 7, 30, 64, 200):
+        width = _slot_width(bound)
+        modulus = (1 << (r * width)) + 1
+        top = (1 << bound) - 1
+        for _ in range(10):
+            coeffs = [rng.choice((top, -top, rng.randint(-top, top)))
+                      for _ in range(r)]
+            packed = negacyclic_pack(coeffs, width)
+            for shift in range(-2, 3):
+                assert negacyclic_unpack(packed + shift * modulus, r,
+                                         width) == coeffs
+        # f g modulo x^r + 1 with every coefficient at most r a b
+        a, b = 1 << (bound // 2), (1 << (bound - bound // 2)) // r
+        f = [rng.randint(-a, a) for _ in range(r)]
+        g = [rng.randint(-b, b) for _ in range(r)]
+        conv = [0] * r
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                k = i + j
+                if k < r:
+                    conv[k] += x * y
+                else:
+                    conv[k - r] -= x * y
+        folded = negacyclic_fold(
+            negacyclic_pack(f, width) * negacyclic_pack(g, width),
+            r * width)
+        assert negacyclic_unpack(folded, r, width) == conv
+    # the read-back's reduction by Phi_2r: x^k for every k < r
+    for k in range(r):
+        conv = [0] * r
+        conv[k] = 1
+        assert Cyc(ctx, ctx.reduce_negacyclic(conv)) == Cyc(ctx,
+                                                           ctx._xpow[k])
+
+
+def test_any_first_width_gives_the_exact_walk(census2):
+    # a walk handed a first width too narrow for its bound, at any step,
+    # widens its table in place and ends with the same packed value
+    tris = [tri for tri in census2 if cocycle_space_1(
+        build_skeleton(tri)).beta1][:2] + census2[1:2]
+    for tri in tris:
+        skel = build_skeleton(tri)
+        for r in (5, 6, 9):
+            ctx = field_init(r, 1)
+            for coords in [None] + _classes(skel):
+                value, den, bound, _ = _packed_walk(skel, ctx, coords, 1024)
+                want = negacyclic_unpack(value, r, 1024)
+                for width in range(2, _slot_width(bound) + 1):
+                    got, got_den, _, used = _packed_walk(skel, ctx, coords,
+                                                         width)
+                    assert used >= _slot_width(bound) and got_den == den
+                    assert negacyclic_unpack(got, r, used) == want, (
+                        r, coords, width)
+
+
+def test_cold_level_widens_and_stays_exact(census2, monkeypatch):
+    # a context made directly has no width hint, so its first walk takes
+    # the bits of the first step's factors for every step; on these
+    # walks a later step's factors are larger, so the table is repacked
+    # at a wider width mid-walk, and the value is still the swept one
+    unpacked = []
+
+    def counting_unpack(value, r, width):
+        unpacked.append(width)
+        return negacyclic_unpack(value, r, width)
+
+    monkeypatch.setattr("tvcalc.colourings.negacyclic_unpack",
+                        counting_unpack)
+    widened = 0
+    for tri in _seed_walk(census2[1], 2, (5, 6)):
+        skel = build_skeleton(tri)
+        for r in (7, 9):
+            unpacked.clear()
+            got = _elimination_walk(skel, FieldContext(r, 1))
+            widened += len(unpacked) > 1     # one read-back, then repacks
+            found, _ = enumerate_admissible(skel, r)
+            want = sweep_sum(skel, found, r, 1)
+            assert (got.num, got.den) == (want.num, want.den), (tri.n, r)
+    assert widened == 4
 
 
 def test_plan_visits_each_tetrahedron_and_finishes_every_edge(
