@@ -16,6 +16,7 @@ import sys
 
 from tvcalc import bounds, enumerate_census
 from tvcalc.census import MAX_CENSUS_TETS
+from tvcalc.cyclotomic import MAX_LEVEL
 
 
 def survey_small_levels(args, records: list) -> None:
@@ -81,8 +82,8 @@ def main(argv=None) -> int:
         ap.error(f"--max-tets must be between 1 and {MAX_CENSUS_TETS}")
     if args.limit is not None and args.limit < 1:
         ap.error("--limit must be >= 1")
-    if min(args.levels) < 3:
-        ap.error("--levels must all be >= 3")
+    if not all(3 <= r <= MAX_LEVEL for r in args.levels):
+        ap.error(f"--levels must all lie in 3..{MAX_LEVEL}")
 
     records = []
     survey_small_levels(args, records)

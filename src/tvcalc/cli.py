@@ -48,30 +48,36 @@ INVALID_INPUT = 3
 VERIFY_FAILED = 1
 
 
-def _fail_usage(message: str) -> int:
-    print(f"tv: error: {message}", file=sys.stderr)
-    return USAGE
+class _Exit(Exception):
+    """An early end of a command: its exit code and stderr message."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _usage_error(message: str) -> _Exit:
+    return _Exit(USAGE, f"tv: error: {message}")
 
 
 def _load_skeleton(path: str, r: int, q: int = 1):
     """Parse and validate, then check the level (r, q); returns a
-    connected closed 3-manifold Skeleton or an exit code."""
+    connected closed 3-manifold Skeleton."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"tv: cannot read {path}: {exc}", file=sys.stderr)
-        return INVALID_INPUT
+        raise _Exit(INVALID_INPUT, f"tv: cannot read {path}: {exc}")
     try:
         skel = _checked_skeleton(parse_triangulation(text))
         if betti_z2(skel, 0) != 1:
             raise ValueError("triangulation is not connected")
     except ValueError as exc:
-        print(f"tv: invalid triangulation in {path}: {exc}", file=sys.stderr)
-        return INVALID_INPUT
+        raise _Exit(INVALID_INPUT,
+                    f"tv: invalid triangulation in {path}: {exc}")
     try:
         field_init(r, q)
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        raise _usage_error(str(exc))
     return skel
 
 
@@ -122,28 +128,24 @@ class ResultDocument:
         yield f"wall time:  {self.wall_seconds:.3f}s"
 
 
-def _choose_algorithm(args, skel) -> str | None:
-    """Resolve --algorithm, or return None after printing a usage error."""
+def _choose_algorithm(args, skel) -> str:
+    """Resolve --algorithm."""
     explicit = args.algorithm
     if args.class_bits is not None and explicit in ("tv4", "odd-fast"):
-        _fail_usage("--class only works with the naive algorithm")
-        return None
+        raise _usage_error("--class only works with the naive algorithm")
     if explicit == "tv4":
         if args.r != 4:
-            _fail_usage("--algorithm tv4 requires --r 4")
-            return None
+            raise _usage_error("--algorithm tv4 requires --r 4")
         return "tv4"
     if explicit == "odd-fast":
         if args.r % 2 == 0:
-            _fail_usage("--algorithm odd-fast requires odd r >= 3")
-            return None
+            raise _usage_error("--algorithm odd-fast requires odd r >= 3")
         if args.q != 1:
-            _fail_usage("--algorithm odd-fast is only defined for q = 1")
-            return None
+            raise _usage_error(
+                "--algorithm odd-fast is only defined for q = 1")
         if skel.v != 1:
-            _fail_usage("--algorithm odd-fast needs a one-vertex "
-                        "triangulation; rerun without --algorithm")
-            return None
+            raise _usage_error("--algorithm odd-fast needs a one-vertex "
+                               "triangulation; rerun without --algorithm")
         return "odd-fast"
     if explicit == "naive":
         return "naive"
@@ -162,23 +164,19 @@ def _choose_algorithm(args, skel) -> str | None:
 
 def _cmd_compute(args) -> int:
     if not 1 <= args.digits <= MAX_DIGITS:
-        return _fail_usage(f"--digits must be between 1 and {MAX_DIGITS}")
+        raise _usage_error(f"--digits must be between 1 and {MAX_DIGITS}")
     skel = _load_skeleton(args.file, args.r, args.q)
-    if isinstance(skel, int):
-        return skel
 
     class_coords = None
     if args.class_bits is not None:
         basis = _derived(skel, cocycle_space_1)
         bits = args.class_bits
         if len(bits) != basis.beta1 or any(ch not in "01" for ch in bits):
-            return _fail_usage(
+            raise _usage_error(
                 f"--class needs a bit string of length {basis.beta1}")
         class_coords = tuple(int(ch) for ch in bits)
 
     algorithm = _choose_algorithm(args, skel)
-    if algorithm is None:
-        return USAGE
 
     # every value comes from the elimination engine (odd-fast runs it on
     # the zero class and rescales); the algorithm picks the search
@@ -216,8 +214,6 @@ def _cmd_compute(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     skel = _load_skeleton(args.file, args.r)
-    if isinstance(skel, int):
-        return skel
     if args.count_only:
         stats = count_admissible(skel, args.r,
                                  integer_only=args.integer_only)
@@ -232,24 +228,20 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    skel = _load_skeleton(args.file, args.r)
-    if isinstance(skel, int):
-        return skel
-    print(bounds(skel, args.r).to_json())
+    print(bounds(_load_skeleton(args.file, args.r), args.r).to_json())
     return 0
 
 
 def _cmd_census(args) -> int:
     if args.tets < 1:
-        return _fail_usage("--tets must be >= 1")
+        raise _usage_error("--tets must be >= 1")
     if args.tets > MAX_CENSUS_TETS:
-        return _fail_usage(f"--tets must be at most {MAX_CENSUS_TETS}")
+        raise _usage_error(f"--tets must be at most {MAX_CENSUS_TETS}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"tv: cannot create {out}: {exc}", file=sys.stderr)
-        return INVALID_INPUT
+        raise _Exit(INVALID_INPUT, f"tv: cannot create {out}: {exc}")
     count = 0
     for index, tri in enumerate(enumerate_census(
             args.tets, one_vertex=args.one_vertex,
@@ -258,8 +250,7 @@ def _cmd_census(args) -> int:
         try:
             path.write_text(serialise_triangulation(tri))
         except OSError as exc:
-            print(f"tv: cannot write {path}: {exc}", file=sys.stderr)
-            return INVALID_INPUT
+            raise _Exit(INVALID_INPUT, f"tv: cannot write {path}: {exc}")
         print(path)
         count += 1
     print(f"wrote {count} file(s) to {out}")
@@ -365,10 +356,7 @@ def _run_verify(skel, r: int) -> int:
 
 
 def _cmd_verify(args) -> int:
-    skel = _load_skeleton(args.file, args.r)
-    if isinstance(skel, int):
-        return skel
-    return _run_verify(skel, args.r)
+    return _run_verify(_load_skeleton(args.file, args.r), args.r)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,7 +422,11 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -43,12 +43,12 @@ tetrahedron key and edge-and-triangle key ("local"), and in front of
 those the same factors per step kind (new edge positions, new faces)
 and raw six colours ("local_raw"), which holds no values of its own
 and is keyed by the one tuple per distinct six colours that "tet_raw"
-keeps, and the engine's width hint ("factor_bits").  The engine asks
-for at most two contexts per level.  Every key is built from colours
-or half-sums below r, so each pool is bounded by a function of the
-level (README, Library).  The cocycle basis, the
-search and elimination plans and the validity of a skeleton are built
-once per distinct skeleton (``_derived``).
+keeps.  The pools hold memos only, and the engine asks for at most
+two contexts per level.  Every key is built from colours or half-sums
+below r, so each pool is bounded by a function of the level (README,
+Library).  The cocycle basis, the search and elimination plans and the
+validity of a skeleton are built once per distinct skeleton
+(``_derived``).
 """
 from __future__ import annotations
 
@@ -59,6 +59,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .cyclotomic import (
+    MAX_LEVEL,
     Cyc,
     FieldContext,
     field_init,
@@ -289,6 +290,8 @@ def count_admissible(
 def _search(source, r: int, integer_only: bool, class_coords, keep: bool):
     if r < 3:
         raise ValueError(f"r must be at least 3, got {r}")
+    if r > MAX_LEVEL:
+        raise ValueError(f"r must be at most {MAX_LEVEL}, got {r}")
     skel = _as_skeleton(source)
     accept = None
     if class_coords is not None:
@@ -320,8 +323,7 @@ def _cache(ctx: FieldContext) -> dict:
     got = _CACHES.get(ctx)
     if got is None:
         got = {"triangle": {}, "tet": {}, "tet_raw": {}, "head": {},
-               "local": {}, "local_raw": {}, "vertex": None,
-               "factor_bits": 0}
+               "local": {}, "local_raw": {}, "vertex": None}
         _CACHES[ctx] = got
     return got
 
@@ -666,7 +668,7 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
                  width=None):
     """The fixed-parameter algorithm of Burton, Maria and Spreer
     (arXiv:1503.04099), with table values packed at ``width`` bits per
-    slot, or at a first width from the context's hint when None.
+    slot, or at a first width sized from step 1's factors when None.
 
     Returns (packed entry of the class or 0, product of the per-step
     denominators, bound, final width): every coefficient of the
@@ -692,10 +694,10 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
     |f g|_inf <= |f|_inf |g|_1 in Z[x]/(x^r + 1) and at most |domain|^k
     pairs land on one new key, k the classes the step finishes; so each
     table coefficient is at most |domain|^E L_1 ... L_t.  The first
-    width gives each step to come the bits of the largest L_t seen at
-    this context (the "factor_bits" hint).  When the bound outgrows the
-    width, the table, still exact, is repacked wider (README, State-sum
-    engine).
+    width, and each wider one when the bound outgrows it, gives every
+    step still to come the bits of the current step's L_t; the table,
+    still exact, is then repacked (README, State-sum engine).  So the
+    width is a function of the walk's input alone.
     """
     r = ctx.r
     integer_only = False
@@ -710,8 +712,7 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
             edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
     domain = _domain(r, integer_only)
 
-    pool = _cache(ctx)
-    raw_pool = pool["local_raw"]
+    raw_pool = _cache(ctx)["local_raw"]
     steps = _derived(skel, _elimination_plan)
     limit = len(domain) ** skel.e
     den = 1
@@ -776,11 +777,9 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
                     for w in weights.values()), default=0)
         limit *= norm
         den *= step_den
-        hint = pool["factor_bits"] = max(pool["factor_bits"],
-                                         norm.bit_length())
         if width is None or _slot_width(limit.bit_length()) > width:
             wider = _slot_width(limit.bit_length()
-                                + (len(steps) - done) * hint)
+                                + (len(steps) - done) * norm.bit_length())
             if width is not None:
                 # the table before this step is within the old width
                 table = {key: negacyclic_pack(

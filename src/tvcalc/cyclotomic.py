@@ -51,6 +51,7 @@ __all__ = [
     "Cyc",
     "quantum_integer",
     "bracket_factorial",
+    "MAX_LEVEL",
     "MAX_DIGITS",
     "numeric_eval",
 ]
@@ -105,6 +106,8 @@ class FieldContext:
     def __init__(self, r: int, q: int):
         if r < 3:
             raise ValueError(f"r must be at least 3, got {r}")
+        if r > MAX_LEVEL:
+            raise ValueError(f"r must be at most {MAX_LEVEL}, got {r}")
         if not (0 < q < 2 * r):
             raise ValueError(f"q must lie strictly between 0 and 2r, got {q}")
         if math.gcd(r, q) != 1:
@@ -622,6 +625,10 @@ def quantum_integer(ctx: FieldContext, i: int) -> Cyc:
 def bracket_factorial(ctx: FieldContext, i: int) -> Cyc:
     return ctx.bracket_factorial(i)
 
+
+# the largest level r of a field context, and so of every command: the
+# tables of a level grow with r^2 and faster (README, CLI)
+MAX_LEVEL = 128
 
 # the largest ``--digits`` that ``tv compute`` and the table script
 # accept: the time of ``numeric_eval`` grows faster than linearly in the

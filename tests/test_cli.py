@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tvcalc import cli, serialise_triangulation, tv
 from tvcalc.census import MAX_CENSUS_TETS
 from tvcalc.cli import main
-from tvcalc.cyclotomic import MAX_DIGITS
+from tvcalc.cyclotomic import MAX_DIGITS, MAX_LEVEL, field_init
 
 ONE_VERTEX_SPHERE = """tri 1
 tet 0: 0:1023 0:1023 0:1230 0:3012
@@ -79,7 +80,7 @@ def _assert_usage_error(code, out, err):
 
 
 def _valid_level(r, q):
-    return 0 < q < 2 * r and math.gcd(q, r) == 1
+    return r <= MAX_LEVEL and 0 < q < 2 * r and math.gcd(q, r) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -87,7 +88,7 @@ def _valid_level(r, q):
 def test_compute_level_and_q_fuzz(lens_path, data):
     # exit 0 exactly on a valid level; otherwise a usage error on one
     # line, raised as no exception
-    r = data.draw(st.integers(3, 12))
+    r = data.draw(st.integers(3, 12) | st.integers(MAX_LEVEL + 1, 10 ** 9))
     q = data.draw(st.integers(-3, 2 * r + 3))
     code, out, err = _run(["compute", "--file", lens_path, "--r", str(r),
                            "--q", str(q), "--json"])
@@ -153,6 +154,20 @@ def test_enumerate_and_bounds_level_fuzz(lens_path, command, r, flags):
     assert code == 0 and err == ""
     if command == "bounds":
         assert json.loads(out)["r"] == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["compute", "enumerate", "bounds", "verify"]),
+       r=st.integers(MAX_LEVEL + 1, 10 ** 9))
+def test_level_above_the_cap_fuzz(lens_path, command, r):
+    # refused at once, before any field context or level table is built
+    contexts = field_init.cache_info().currsize
+    start = time.perf_counter()
+    code, out, err = _run([command, "--file", lens_path, "--r", str(r)])
+    assert time.perf_counter() - start < 1
+    _assert_usage_error(code, out, err)
+    assert f"at most {MAX_LEVEL}" in err
+    assert field_init.cache_info().currsize == contexts
 
 
 @settings(max_examples=25, deadline=None)

@@ -26,8 +26,8 @@ from tvcalc import (
 )
 from tvcalc.colourings import WeightSystem, _cache, _search_plan, \
     _third_colours, edge_weight, triangle_weight, vertex_weight
-from tvcalc.cyclotomic import KRONECKER_DEGREE, KRONECKER_NONZERO, Cyc, \
-    FieldContext
+from tvcalc.cyclotomic import KRONECKER_DEGREE, KRONECKER_NONZERO, \
+    MAX_LEVEL, Cyc, FieldContext
 from tvcalc.fastalgo import adm4_structured
 from tvcalc.loopcoords import IntersectionSymbol, decompose_symbol, \
     tet_weight_loop
@@ -143,6 +143,17 @@ def test_class_filter_length_checked(census1):
 def test_small_r_rejected(census1):
     with pytest.raises(ValueError):
         enumerate_admissible(census1[0], 2)
+
+
+def test_r_above_the_level_cap_rejected(census1):
+    # rejected before the per-level lookup of (r - 1)^2 ranges is built
+    before = _third_colours.cache_info().currsize
+    for r in (MAX_LEVEL + 1, 5001, 10 ** 9):
+        with pytest.raises(ValueError):
+            enumerate_admissible(census1[0], r)
+        with pytest.raises(ValueError):
+            count_admissible(census1[0], r)
+    assert _third_colours.cache_info().currsize == before
 
 
 def _oracle_prefix_count(skel, r, fixed, prefix, domain):
@@ -383,12 +394,10 @@ def test_weight_caches_stay_bounded(census1, census2):
     assert ctx._packed == before
 
     # the documented pools only: edge weights are the context's quantum
-    # integers, "tet_raw" keeps the one key tuple per six colours, and
-    # the engine's width hint is one int
+    # integers and "tet_raw" keeps the one key tuple per six colours
     pool = _cache(ctx)
     assert set(pool) == {"triangle", "tet", "tet_raw", "head", "local",
-                         "local_raw", "vertex", "factor_bits"}
-    assert type(pool["factor_bits"]) is int and pool["factor_bits"] > 0
+                         "local_raw", "vertex"}
     for colours, (kept, tet_key, value) in pool["tet_raw"].items():
         assert kept is colours and pool["tet"][tet_key] is value
     assert pool["local"]

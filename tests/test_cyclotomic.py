@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcalc import field_init, numeric_eval
-from tvcalc.cyclotomic import KRONECKER_DEGREE, Cyc, FieldContext, \
-    bracket_factorial, cyclotomic_polynomial, quantum_integer
+from tvcalc.cyclotomic import KRONECKER_DEGREE, MAX_LEVEL, Cyc, \
+    FieldContext, bracket_factorial, cyclotomic_polynomial, quantum_integer
 
 LEVELS = [(3, 1), (4, 1), (5, 1), (5, 3), (7, 2), (8, 3), (9, 5), (12, 5),
           (16, 3)]
@@ -54,6 +54,14 @@ def test_field_init_validation():
         field_init(5, 0)
     field_init(5, 9)   # q need not be coprime to 2r, only to r
     field_init(6, 1)
+    # the level cap admits r = 105, built below, and r = 101, timed in
+    # the README; above it no context is built, however large r is
+    assert MAX_LEVEL >= 105
+    before = field_init.cache_info().currsize
+    for r in (MAX_LEVEL + 1, 5001, 10 ** 9):
+        with pytest.raises(ValueError, match="at most"):
+            field_init(r, 1)
+    assert field_init.cache_info().currsize == before
 
 
 def test_field_init_cached():

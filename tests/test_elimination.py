@@ -227,10 +227,10 @@ def test_any_first_width_gives_the_exact_walk(census2):
 
 
 def test_cold_level_widens_and_stays_exact(census2, monkeypatch):
-    # a context made directly has no width hint, so its first walk takes
-    # the bits of the first step's factors for every step; on these
-    # walks a later step's factors are larger, so the table is repacked
-    # at a wider width mid-walk, and the value is still the swept one
+    # the first width gives every step the bits of the first step's
+    # factors; on these walks a later step's factors are larger, so the
+    # table is repacked at a wider width mid-walk, and the value is
+    # still the swept one
     unpacked = []
 
     def counting_unpack(value, r, width):
@@ -250,6 +250,19 @@ def test_cold_level_widens_and_stays_exact(census2, monkeypatch):
             want = sweep_sum(skel, found, r, 1)
             assert (got.num, got.den) == (want.num, want.den), (tri.n, r)
     assert widened == 4
+
+
+def test_walk_width_does_not_depend_on_earlier_walks(census2):
+    # census_t2_0012 at r = 7 packs at the same width on a fresh context
+    # as after a larger walk (seed 7, n = 10) has run at that context
+    skel = build_skeleton(census2[12])
+    fresh = _packed_walk(skel, FieldContext(7, 1), None)
+    ctx = FieldContext(7, 1)
+    big = build_skeleton(_seed_walk(census2[1], 7, (10,))[0])
+    _packed_walk(big, ctx, None)
+    after = _packed_walk(skel, ctx, None)
+    assert after[2:] == fresh[2:] == (24, 25)
+    assert after == fresh
 
 
 def test_plan_visits_each_tetrahedron_and_finishes_every_edge(

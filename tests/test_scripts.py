@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tvcalc.census import MAX_CENSUS_TETS
-from tvcalc.cyclotomic import MAX_DIGITS
+from tvcalc.cyclotomic import MAX_DIGITS, MAX_LEVEL
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -57,6 +57,10 @@ def test_invariant_table_rows(capsys):
     ("invariant_table", ["--max-tets", "-2"], "--max-tets"),
     ("invariant_table", ["--digits", str(MAX_DIGITS + 1), "--max-tets", "1"],
      "--digits"),
+    ("bounds_table", ["--levels", "5", str(MAX_LEVEL + 1), "--max-tets", "1"],
+     "--levels"),
+    ("invariant_table", ["--levels", "5", "5001", "--max-tets", "1"],
+     "at most"),
 ])
 def test_scripts_reject_bad_arguments_up_front(name, argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
