@@ -35,20 +35,24 @@ proven step by step and read back as a ``Cyc`` at the end.
 ``sweep_sum`` multiplies out the weight of each colouring of a given
 list, at (r, q) directly; it is the engine's independent oracle.
 
+A tetrahedron weight is an alternating sum over z of [z+1] times a
+quantum multinomial, a product of quantum binomials that the field
+context keeps; its terms are summed as integers modulo 2^(rw) + 1 too,
+at a width proven from the l1 norms of the binomials, and read back
+once (``_tet_weight_sum``).
+
 Weights are cached per field context: triangle and tetrahedron
 weights (an edge weight is a quantum integer, which the context keeps),
-the head [z+1]! prod_t 1/[z-t]! of each term of the tetrahedron sum per
-(z, triangle half-sums), the engine's local factors per pair of
-tetrahedron key and edge-and-triangle key ("local"), and in front of
-those the same factors per step kind (new edge positions, new faces)
-and raw six colours ("local_raw"), which holds no values of its own
-and is keyed by the one tuple per distinct six colours that "tet_raw"
-keeps.  The pools hold memos only, and the engine asks for at most
-two contexts per level.  Every key is built from colours or half-sums
-below r, so each pool is bounded by a function of the level (README,
-Library).  The cocycle basis, the search and elimination plans and the
-validity of a skeleton are built once per distinct skeleton
-(``_derived``).
+the engine's local factors per pair of tetrahedron key and
+edge-and-triangle key ("local"), and in front of those the same
+factors per step kind (new edge positions, new faces) and raw six
+colours ("local_raw"), which holds no values of its own and is keyed by
+the one tuple per distinct six colours that "tet_raw" keeps.  The
+pools hold memos only, and the engine asks for at most two contexts per
+level.  Every key is built from colours or half-sums below r, so each
+pool is bounded by a function of the level (README, Library).  The
+cocycle basis, the search and elimination plans and the validity of a
+skeleton are built once per distinct skeleton (``_derived``).
 """
 from __future__ import annotations
 
@@ -322,8 +326,8 @@ _CACHES: dict = {}
 def _cache(ctx: FieldContext) -> dict:
     got = _CACHES.get(ctx)
     if got is None:
-        got = {"triangle": {}, "tet": {}, "tet_raw": {}, "head": {},
-               "local": {}, "local_raw": {}, "vertex": None}
+        got = {"triangle": {}, "tet": {}, "tet_raw": {}, "local": {},
+               "local_raw": {}, "vertex": None}
         _CACHES[ctx] = got
     return got
 
@@ -416,26 +420,54 @@ def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
     """The alternating sum of ``tetrahedron_weight`` from the sorted
     triangle and quad half-sums.
 
-    Term z is [z+1]! prod_t 1/[z-t]! prod_Q 1/[Q-z]! with sign (-1)^z.
-    Its head [z+1]! prod_t 1/[z-t]! is cached per (z, triangle sums),
-    which many quad sums share; the quad factors are not, as a
-    (z, quad sums) key rarely repeats.  Terms with z + 1 >= r vanish.
-    Each factorial is the right operand of its product, the one that
-    ``Cyc.__mul__`` keeps packed.
+    Term z is (-1)^z [z+1]! / (prod_t [z-t]! prod_Q [Q-z]!).  Its seven
+    parts z - t and Q - z sum to z, as the triangle and the quad
+    half-sums both sum to the sum of the six colours, so the term is
+    (-1)^z [z+1] times the quantum multinomial of z over the parts: a
+    product of at most six quantum binomials, all integral
+    (``FieldContext.quantum_binomial``).  Terms with z + 1 >= r vanish.
+
+    The terms are evaluated in Z/(2^(rw) + 1), the image of
+    Z[x]/(x^r + 1) at x = 2^w, folded after every multiply and summed
+    there; the sum is read back and reduced by Phi_2r once.  Since
+    |f g|_inf <= |f|_1 |g|_1, every coefficient of the sum is at most
+    the sum over z of the products of the l1 norms of the factors as
+    stored, and w is ``_slot_width`` of that bound.  The binomial
+    coefficients C(n, k), the l1 norms before the reduction by Phi_2r,
+    do not bound them: [2 1] = zeta + 1/zeta has l1 norm 45 at r = 47,
+    and a width sized from C(n, k) gets (2, 2, 2, 2, 2, 0) wrong there.
     """
-    heads = _cache(ctx)["head"]
-    total = ctx.zero
-    for z in range(max(tri_sums), min(min(quad_sums), ctx.r - 2) + 1):
-        term = heads.get((z, tri_sums))
-        if term is None:
-            term = ctx.bracket_factorial(z + 1)
-            for t in tri_sums:
-                term = term * ctx.inverse_bracket_factorial(z - t)
-            heads[z, tri_sums] = term
-        for qd in quad_sums:
-            term = term * ctx.inverse_bracket_factorial(qd - z)
-        total = total - term if z & 1 else total + term
-    return total
+    r = ctx.r
+    terms = []
+    bound = 0
+    for z in range(max(tri_sums), min(min(quad_sums), r - 2) + 1):
+        parts = sorted([z - t for t in tri_sums]
+                       + [qd - z for qd in quad_sums])
+        factors = [ctx.quantum_integer(z + 1).num]
+        n = z
+        # the largest part is the n left after the others
+        for part in parts[:-1]:
+            if part:
+                factors.append(ctx.quantum_binomial(n, part).num)
+                n -= part
+        size = 1
+        for vec in factors:
+            size *= sum(map(abs, vec))
+        bound += size
+        terms.append((z & 1, factors))
+    if not terms:
+        return ctx.zero
+    width = _slot_width(bound.bit_length())
+    shift = r * width
+    total = 0
+    for odd, factors in terms:
+        value = negacyclic_pack(factors[0], width)
+        for vec in factors[1:]:
+            value = negacyclic_fold(value * negacyclic_pack(vec, width),
+                                    shift)
+        total = total - value if odd else total + value
+    return Cyc(ctx, ctx.reduce_negacyclic(negacyclic_unpack(total, r, width)),
+               1, _normalised=True)
 
 
 class WeightSystem:

@@ -24,12 +24,18 @@ degree ``KRONECKER_DEGREE`` and above, when both operands have at least
 multiply (Kronecker substitution): each coefficient vector is packed into
 an int at a slot width w of bits(max|a|) + bits(max|b|) + bits(deg) + 1
 bits rounded up to whole bytes, and the fold is a split of the product at
-r w bits.  When the right operand is a bracket factorial or an inverse
-one from the context's tables, the context keeps it packed, once per slot
-width, so the product packs only its left operand; no other value is
-kept packed.  The split (``negacyclic_fold``) and the reduction by
-Phi_2r (``FieldContext.reduce_negacyclic``) also serve the state-sum
-engine's packed values.  The extended Euclidean algorithm in
+r w bits; no value is kept packed.  The split (``negacyclic_fold``) and
+the reduction by Phi_2r (``FieldContext.reduce_negacyclic``) also serve
+the packed values of the state-sum engine and of the tetrahedron sum.
+
+The quantum binomials [n k] = [n]! / ([k]! [n-k]!) for n <= r - 2 are
+integral, and the q-Pascal rule builds them with no division: each
+entry is two rotations by powers of zeta in Z[x]/(x^r + 1) and one
+reduction by Phi_2r.  The tetrahedron weight is an alternating sum of
+[z+1] times products of them (``colourings._tet_weight_sum``); its
+terms are evaluated packed, at a slot width proven from the l1 norms of
+the binomials as stored here, which the reduction by Phi_2r can make
+larger than C(n, k).  The extended Euclidean algorithm in
 ``Cyc.invert`` runs only for division or negative powers by field
 elements.
 """
@@ -97,10 +103,10 @@ class FieldContext:
     """The field Q(zeta_{2r}) with zeta realised as x^q.
 
     Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
-    root of unity.  Instances cache the reduced powers of x, quantum
-    integers, their inverses and bracket factorials they hand out, the
-    slot constants of Kronecker products, and the factorials packed for
-    them; get one via ``field_init``.
+    root of unity.  Instances cache the reduced powers of x, the
+    quantum integers, their inverses, the bracket factorials and their
+    inverses and the quantum binomials they hand out, and the slot
+    constants of Kronecker products; get one via ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -144,11 +150,9 @@ class FieldContext:
         self._inv_qint: dict[int, Cyc] = {}
         self._fact: list = [self.one]
         self._inv_fact: list = [self.one]
-        # id of each factorial-table entry -> (inverse, i); the entries
-        # live as long as the context, so no other object shares an id
-        self._factorial_ids: dict[int, tuple] = {id(self.one): (False, 0)}
-        # slot bytes -> {(inverse, i): that entry packed at this width}
-        self._packed: dict[int, dict] = {}
+        # rows n = 0.. of quantum binomials, row n holding [n k] for
+        # k = 0..n; [n k] and [n n-k] are one object
+        self._binom: list = [[self.one]]
 
     def _reduce_shift(self, coeffs: list) -> list:
         """Multiply by x and reduce modulo the (monic) minimal polynomial."""
@@ -270,9 +274,7 @@ class FieldContext:
             raise ValueError("bracket factorials need i >= 0")
         while len(self._fact) <= i:
             k = len(self._fact)
-            entry = self._fact[-1] * self.quantum_integer(k)
-            self._factorial_ids[id(entry)] = (False, k)
-            self._fact.append(entry)
+            self._fact.append(self._fact[-1] * self.quantum_integer(k))
         return self._fact[i]
 
     def inverse_bracket_factorial(self, i: int) -> "Cyc":
@@ -281,10 +283,52 @@ class FieldContext:
             raise ValueError(f"[{i}]! is zero or undefined, cannot invert")
         while len(self._inv_fact) <= i:
             k = len(self._inv_fact)
-            entry = self._inv_fact[-1] * self.inverse_quantum_integer(k)
-            self._factorial_ids[id(entry)] = (True, k)
-            self._inv_fact.append(entry)
+            self._inv_fact.append(
+                self._inv_fact[-1] * self.inverse_quantum_integer(k))
         return self._inv_fact[i]
+
+    def quantum_binomial(self, n: int, k: int) -> "Cyc":
+        """[n k] = [n]! / ([k]! [n-k]!), for 0 <= k <= n <= r - 2.
+
+        Integral, with denominator 1: built row by row by the q-Pascal
+        rule [n k] = zeta^k [n-1 k] + zeta^(k-n) [n-1 k-1], whose two
+        shifts by powers of zeta are rotations in Z[x]/(x^r + 1) before
+        one reduction by Phi_2r.  [n k] = [n n-k], so a row computes
+        its first half and shares it with the second: at most
+        (r - 1)^2 / 2 entries per context.
+        """
+        if not (0 <= k <= n <= self.r - 2):
+            raise ValueError(
+                f"[n k] needs 0 <= k <= n <= r - 2, got ({n}, {k})")
+        rows = self._binom
+        while len(rows) <= n:
+            m = len(rows)
+            prev = rows[-1]
+            row = [self.one] * (m + 1)
+            for j in range(1, m // 2 + 1):
+                conv = [0] * self.r
+                self._add_rotated(conv, prev[j].num, j)
+                self._add_rotated(conv, prev[j - 1].num, j - m)
+                row[j] = row[m - j] = Cyc(
+                    self, self.reduce_negacyclic(conv), 1, _normalised=True)
+            rows.append(row)
+        return rows[n][k]
+
+    def _add_rotated(self, conv: list, coeffs, k: int) -> None:
+        """Add ``coeffs`` times zeta^k into the r slots ``conv`` of
+        Z[x]/(x^r + 1), where zeta^k = +-x^s with 0 <= s < r."""
+        r = self.r
+        s = (self.q * k) % self.order
+        sign = 1
+        if s >= r:
+            s -= r
+            sign = -1
+        for i, c in enumerate(coeffs, s):
+            if c:
+                if i < r:
+                    conv[i] += sign * c
+                else:
+                    conv[i - r] -= sign * c
 
 
 @lru_cache(maxsize=None)
@@ -337,10 +381,9 @@ def negacyclic_unpack(value: int, r: int, width: int) -> list:
     return digits
 
 
-def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple, b_key=None):
+def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple):
     """The product of the nonzero coefficient vectors a and b modulo
-    x^r + 1, as r integers.  ``b_key`` is b's (inverse, i) when b is a
-    factorial-table entry: its packed form is then kept on the context.
+    x^r + 1, as r integers.
 
     Each vector is packed into one int with coefficient i at bit w*i, so a
     single multiply gives the convolution.  A coefficient of the product
@@ -362,14 +405,7 @@ def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple, b_key=None):
         return int.from_bytes(b"".join([(c + half).to_bytes(wb, "little")
                                         for c in vec]), "little") - pack_off
 
-    if b_key is None:
-        packed_b = pack(b)
-    else:
-        store = ctx._packed.setdefault(wb, {})
-        packed_b = store.get(b_key)
-        if packed_b is None:
-            packed_b = store[b_key] = pack(b)
-    prod = pack(a) * packed_b
+    prod = pack(a) * pack(b)
     # x^r = -1: the fold gives the folded value X, |X| < 2^(rw - 1), or
     # X + 2^(rw) + 1 when the low r slots are negative
     shift = r * w
@@ -477,8 +513,7 @@ class Cyc:
         if (deg >= KRONECKER_DEGREE
                 and deg - a.count(0) >= KRONECKER_NONZERO
                 and deg - b.count(0) >= KRONECKER_NONZERO):
-            conv = _kronecker_folded(ctx, a, b,
-                                     ctx._factorial_ids.get(id(other)))
+            conv = _kronecker_folded(ctx, a, b)
         else:
             # x^r = -1 because Phi_2r divides x^r + 1: fold while
             # accumulating, into r slots

@@ -331,16 +331,24 @@ def _admissible_tet_colours(r, rng, count):
     return found
 
 
-@pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 31, 36])
+@pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 31, 36, 47])
 def test_cached_tet_weights_match_uncached_oracle(r):
     # prime, odd composite and even levels (the inverse factorials have
     # denominators at composite r), below and above KRONECKER_DEGREE.
-    # Each pass starts from a fresh context, so fresh weight pools and
-    # packed factorials; the second warms them with relabelled colourings
-    # in reverse order first, so a cache key that drops what the value
-    # depends on fails.
+    # The samples hold every admissible colouring with colours <= 2: a
+    # slot width sized from the binomial coefficients C(n, k) in place
+    # of the l1 norms of the reduced binomials gets (2, 2, 2, 2, 2, 0)
+    # wrong at r = 31 and 47.  Each pass starts from a fresh context, so
+    # fresh weight pools and binomial table; the second warms them with
+    # relabelled colourings in reverse order first, so a cache key that
+    # drops what the value depends on fails.
     rng = random.Random(r)
     samples = _admissible_tet_colours(r, rng, 24)
+    samples += [colours for colours in product(range(3), repeat=6)
+                if colours not in samples and all(
+                    _oracle_triple(r, *(colours[k] for k in face))
+                    for face in _ORACLE_FACES)]
+    assert (2, 2, 2, 2, 2, 0) in samples
     ctx = FieldContext(r, 1)
     fact, inv_fact = [ctx.one], [ctx.one]
     for k in range(1, r):
@@ -351,6 +359,8 @@ def test_cached_tet_weights_match_uncached_oracle(r):
         value = _oracle_tet_weight(ctx, colours, fact, inv_fact)
         want.append((value.num, value.den))
     assert any(f.den > 1 for f in inv_fact) == (r in (6, 9, 12, 36))
+    # the weights are integral even where the inverse factorials are not
+    assert all(den == 1 for _, den in want)
 
     for warm in (False, True):
         ctx = FieldContext(r, 1)
@@ -358,7 +368,9 @@ def test_cached_tet_weights_match_uncached_oracle(r):
             for colours in reversed(samples):
                 tetrahedron_weight(
                     ctx, _relabelled(colours, rng.choice(ALL_PERMS)))
-            assert _cache(ctx)["head"]
+            # rows up to the largest z met, at most r - 1 of them
+            assert 2 < len(ctx._binom) <= r - 1
+            assert ctx._inv_fact == [ctx.one]
         for colours, (num, den) in zip(samples, want):
             got = tetrahedron_weight(ctx, colours)
             assert (got.num, got.den) == (num, den), colours
@@ -370,34 +382,61 @@ def test_cached_tet_weights_match_uncached_oracle(r):
             assert (loop.num, loop.den) == (num, den), colours
 
 
+def _gaussian_binomial(n, k):
+    """Coefficients of the Gaussian binomial in Q = q^2, ascending, by the
+    Pascal rule G(n, k) = G(n-1, k-1) + Q^k G(n-1, k) over the integers."""
+    rows = [[[1]]]
+    for m in range(1, n + 1):
+        row = [[1]]
+        for j in range(1, m):
+            left, right = rows[-1][j - 1], [0] * j + rows[-1][j]
+            size = max(len(left), len(right))
+            row.append([(left[i] if i < len(left) else 0)
+                        + (right[i] if i < len(right) else 0)
+                        for i in range(size)])
+        rows.append(row + [[1]])
+    return rows[n][k]
+
+
 def test_weight_caches_stay_bounded(census1, census2):
-    # after a one-tetrahedron invariant at r = 23 the context keeps only
-    # bracket factorials and their inverses packed, at most 2r per slot
-    # width; a product whose right operand is a transient value, here a
-    # Kronecker product with a factorial on the left, packs nothing
+    # after a one-tetrahedron invariant at r = 23 the context keeps its
+    # quantum integer and factorial tables, the slot constants of
+    # Kronecker products and the quantum binomials, and nothing packed.
+    # Each binomial [n k] equals, bit for bit, zeta^(-k(n-k)) times the
+    # Gaussian binomial in zeta^2 read off the power table; [n k] and
+    # [n n-k] are one object; rows stop at n = r - 2
     r = 23
     tri = next(t for t in census1 if build_skeleton(t).v == 1)
     value = tv(tri, r)
     ctx = value.ctx
-    assert ctx._packed
-    for wb, store in ctx._packed.items():
-        assert len(store) <= 2 * r
-        for (inverse, i), packed in store.items():
-            factorial = (ctx.inverse_bracket_factorial(i) if inverse
-                         else ctx.bracket_factorial(i))
-            assert packed == sum(c << (8 * wb * k)
-                                 for k, c in enumerate(factorial.num))
-    before = {wb: dict(store) for wb, store in ctx._packed.items()}
+    assert set(vars(ctx)) == {
+        "r", "q", "order", "modulus", "degree", "_mod_terms", "_xpow",
+        "zero", "one", "zeta", "_kron_slots", "_qint", "_inv_qint",
+        "_fact", "_inv_fact", "_binom"}
+    assert 2 < len(ctx._binom) <= r - 1
+    for n, row in enumerate(ctx._binom):
+        assert len(row) == n + 1
+        for k, entry in enumerate(row):
+            assert entry is row[n - k]
+            want = ctx.zero
+            for j, c in enumerate(_gaussian_binomial(n, k)):
+                want = want + ctx.zeta_power(2 * j - k * (n - k)) * c
+            assert (entry.num, entry.den) == (want.num, want.den)
+    # a Kronecker product with a factorial operand keeps no value
+    factorial = ctx.bracket_factorial(r - 2)
+    tables = [dict(ctx._qint), dict(ctx._inv_qint), list(ctx._fact),
+              list(ctx._inv_fact), [list(row) for row in ctx._binom]]
     dense = Cyc(ctx, tuple(range(1, ctx.degree + 1)))
     assert ctx.degree >= max(KRONECKER_DEGREE, KRONECKER_NONZERO)
-    assert ctx.bracket_factorial(r - 1) * (dense * dense) != ctx.zero
-    assert ctx._packed == before
+    assert (dense * dense) * factorial != ctx.zero
+    assert [dict(ctx._qint), dict(ctx._inv_qint), list(ctx._fact),
+            list(ctx._inv_fact), [list(row) for row in ctx._binom]] == tables
 
     # the documented pools only: edge weights are the context's quantum
     # integers and "tet_raw" keeps the one key tuple per six colours
     pool = _cache(ctx)
-    assert set(pool) == {"triangle", "tet", "tet_raw", "head", "local",
-                         "local_raw", "vertex"}
+    assert set(pool) == {"triangle", "tet", "tet_raw", "local", "local_raw",
+                         "vertex"}
     for colours, (kept, tet_key, value) in pool["tet_raw"].items():
         assert kept is colours and pool["tet"][tet_key] is value
     assert pool["local"]

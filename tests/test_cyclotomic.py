@@ -125,6 +125,25 @@ def test_inverse_bracket_factorial():
             ctx.inverse_bracket_factorial(-1)
 
 
+@pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 36])
+def test_quantum_binomials_times_factorials(r):
+    # [n k] [k]! [n-k]! = [n]! for 0 <= k <= n <= r - 2, with [n k]
+    # built by the q-Pascal rule alone; at zeta = x, at its conjugate
+    # and, at odd r, at the base r + 1 of even q
+    for q in (1, 2 * r - 1) + ((r + 1,) if r % 2 else ()):
+        ctx = FieldContext(r, q)
+        for n in range(r - 1):
+            for k in range(n + 1):
+                binomial = ctx.quantum_binomial(n, k)
+                assert binomial.den == 1
+                assert binomial * ctx.bracket_factorial(k) \
+                    * ctx.bracket_factorial(n - k) \
+                    == ctx.bracket_factorial(n), (q, n, k)
+        for n, k in ((r - 1, 0), (3, 4), (3, -1)):
+            with pytest.raises(ValueError):
+                ctx.quantum_binomial(n, k)
+
+
 def test_quantum_integer_closed_forms():
     # [k] (zeta - 1/zeta) = zeta^k - zeta^-k and [k] (1/[k]) = 1 fix
     # each element uniquely
@@ -287,9 +306,10 @@ def test_product_fills_its_slots(r):
 
 @pytest.mark.parametrize("r", [17, 36, 40])
 def test_products_by_packed_factorials(r):
-    # a factorial-table entry as the right operand is packed once per
-    # slot width and then reused; prime and even levels, with left
-    # operands of several sizes so that several slot widths occur
+    # a factorial-table entry as the right operand of a Kronecker
+    # product, packed with the left one at their common slot width;
+    # prime and even levels, with left operands of several sizes so
+    # that several slot widths occur
     ctx = FieldContext(r, 1)
     rng = random.Random(r)
     for _ in range(10):
@@ -302,7 +322,7 @@ def test_products_by_packed_factorials(r):
                       ctx.inverse_bracket_factorial(i)):
                 _assert_schoolbook(a, f)
                 _assert_schoolbook(a, f)
-    assert len(ctx._packed) > 1
+    assert len(ctx._kron_slots) > 1
 
 
 def test_products_reduce_by_a_modulus_with_other_coefficients():
