@@ -37,9 +37,11 @@ list, at (r, q) directly; it is the engine's independent oracle.
 
 A tetrahedron weight is an alternating sum over z of [z+1] times a
 quantum multinomial, a product of quantum binomials that the field
-context keeps; its terms are summed as integers modulo 2^(rw) + 1 too,
-at a width proven from the l1 norms of the binomials, and read back
-once (``_tet_weight_sum``).
+context keeps, and its terms are one ``FieldContext.packed_sum``
+(``_tet_weight_sum``).  A triangle weight is its neighbour times four
+quantum integers and their inverses (``_triangle_entry``), and the
+engine's local factor the tetrahedron weight times the new edge and
+triangle weights: each is one ``FieldContext.product``.
 
 Weights are cached per field context: triangle and tetrahedron
 weights (an edge weight is a quantum integer, which the context keeps),
@@ -70,6 +72,7 @@ from .cyclotomic import (
     negacyclic_fold,
     negacyclic_pack,
     negacyclic_unpack,
+    slot_width,
 )
 from .homology import CocycleBasis, cocycle_space_1, reduce_colouring
 from .triangulation import (
@@ -348,22 +351,39 @@ def edge_weight(ctx: FieldContext, a: int) -> Cyc:
 
 
 def triangle_weight(ctx: FieldContext, a: int, b: int, c: int) -> Cyc:
-    """Weight of a triangle with doubled colours a, b, c."""
+    """Weight of a triangle with doubled colours a, b, c:
+    (-1)^h [h-a]! [h-b]! [h-c]! / [h+1]!, with h = (a + b + c) / 2."""
     if not admissible_triple(ctx.r, a, b, c):
         raise ValueError(f"triple ({a}, {b}, {c}) is not admissible "
                          f"for r={ctx.r}")
     key = (a, b, c) if a <= b <= c else tuple(sorted((a, b, c)))
-    pool = _cache(ctx)["triangle"]
+    return _triangle_entry(ctx, _cache(ctx)["triangle"], key)
+
+
+def _triangle_entry(ctx: FieldContext, pool: dict, key: tuple) -> Cyc:
+    """``triangle_weight`` of the sorted admissible triple ``key``, kept
+    in ``pool``.
+
+    The weight is a ratio of factorials, so neighbours differ by four
+    quantum integers: with a <= b <= c and h = (a + b + c) / 2,
+    D(a, b, c) = -D(a, b, c - 2) [h-a] [h-b] / ([h+1] [h-c+1]), down to
+    D(0, b, b) = (-1)^b / [b+1].  (a, b, c - 2) is admissible unless
+    a = 0 and c = b, as c = b - a mod 2 and c <= a + b.
+    """
     got = pool.get(key)
     if got is None:
         a, b, c = key
-        half = (a + b + c) // 2
-        got = (ctx.bracket_factorial(half - c)
-               * ctx.bracket_factorial(half - b)
-               * ctx.bracket_factorial(half - a)
-               * ctx.inverse_bracket_factorial(half + 1))
-        if half & 1:
-            got = -got
+        if a == 0 and b == c:
+            got = ctx.inverse_quantum_integer(b + 1)
+            if b & 1:
+                got = -got
+        else:
+            half = (a + b + c) // 2
+            got = -ctx.product([
+                _triangle_entry(ctx, pool, tuple(sorted((a, b, c - 2)))),
+                ctx.quantum_integer(half - a), ctx.quantum_integer(half - b),
+                ctx.inverse_quantum_integer(half + 1),
+                ctx.inverse_quantum_integer(half - c + 1)])
         pool[key] = got
     return got
 
@@ -427,19 +447,15 @@ def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
     product of at most six quantum binomials, all integral
     (``FieldContext.quantum_binomial``).  Terms with z + 1 >= r vanish.
 
-    The terms are evaluated in Z/(2^(rw) + 1), the image of
-    Z[x]/(x^r + 1) at x = 2^w, folded after every multiply and summed
-    there; the sum is read back and reduced by Phi_2r once.  Since
-    |f g|_inf <= |f|_1 |g|_1, every coefficient of the sum is at most
-    the sum over z of the products of the l1 norms of the factors as
-    stored, and w is ``_slot_width`` of that bound.  The binomial
+    The terms are one ``FieldContext.packed_sum``, whose slot width
+    comes from the l1 norms of the factors as stored.  The binomial
     coefficients C(n, k), the l1 norms before the reduction by Phi_2r,
-    do not bound them: [2 1] = zeta + 1/zeta has l1 norm 45 at r = 47,
-    and a width sized from C(n, k) gets (2, 2, 2, 2, 2, 0) wrong there.
+    do not bound the sum: [2 1] = zeta + 1/zeta has l1 norm 45 at
+    r = 47, and a width sized from C(n, k) gets (2, 2, 2, 2, 2, 0) wrong
+    there.
     """
     r = ctx.r
     terms = []
-    bound = 0
     for z in range(max(tri_sums), min(min(quad_sums), r - 2) + 1):
         parts = sorted([z - t for t in tri_sums]
                        + [qd - z for qd in quad_sums])
@@ -450,24 +466,8 @@ def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
             if part:
                 factors.append(ctx.quantum_binomial(n, part).num)
                 n -= part
-        size = 1
-        for vec in factors:
-            size *= sum(map(abs, vec))
-        bound += size
         terms.append((z & 1, factors))
-    if not terms:
-        return ctx.zero
-    width = _slot_width(bound.bit_length())
-    shift = r * width
-    total = 0
-    for odd, factors in terms:
-        value = negacyclic_pack(factors[0], width)
-        for vec in factors[1:]:
-            value = negacyclic_fold(value * negacyclic_pack(vec, width),
-                                    shift)
-        total = total - value if odd else total + value
-    return Cyc(ctx, ctx.reduce_negacyclic(negacyclic_unpack(total, r, width)),
-               1, _normalised=True)
+    return Cyc(ctx, ctx.packed_sum(terms), 1, _normalised=True)
 
 
 class WeightSystem:
@@ -610,11 +610,12 @@ def _local_factor(ctx: FieldContext, entry: tuple, edges: tuple,
     on its key in the "tet" pool.  The product is cached per level under
     the pair of those two keys, so every step shares it, across calls
     too, and the memo never holds more entries than the tet pool times
-    the number of edge and triangle keys.  The edge and triangle part is
-    built only when the pair misses: a pool of its own raised peak RSS
-    with no time gain the benchmark could resolve.  The engine calls
-    this only when its raw-colour memo ("local_raw") misses, and keeps
-    the value returned here.
+    the number of edge and triangle keys.  On a miss all the weights are
+    multiplied at once, by ``FieldContext.product`` over the product of
+    their denominators; the edge and triangle part has no pool of its
+    own, which raised peak RSS with no time gain the benchmark could
+    resolve.  The engine calls this only when its raw-colour memo
+    ("local_raw") misses, and keeps the value returned here.
     """
     colours, tet_key, tet = entry
     if tet.is_zero():
@@ -625,12 +626,9 @@ def _local_factor(ctx: FieldContext, entry: tuple, edges: tuple,
     pool = _cache(ctx)["local"]
     got = pool.get((tet_key, key))
     if got is None:
-        rest = ctx.one
-        for a in key[0]:
-            rest = rest * edge_weight(ctx, a)
-        for a, b, c in key[1]:
-            rest = rest * triangle_weight(ctx, a, b, c)
-        got = pool[tet_key, key] = tet * rest
+        got = pool[tet_key, key] = ctx.product(
+            [tet] + [edge_weight(ctx, a) for a in key[0]]
+            + [triangle_weight(ctx, a, b, c) for a, b, c in key[1]])
     return got
 
 
@@ -690,12 +688,6 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
     return total * vertex_weight(ctx) ** skel.v
 
 
-def _slot_width(bound: int) -> int:
-    """Bits per slot that hold every coefficient below 2^bound in
-    absolute value: one more, for the sign."""
-    return bound + 1
-
-
 def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
                  width=None):
     """The fixed-parameter algorithm of Burton, Maria and Spreer
@@ -705,7 +697,7 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
     Returns (packed entry of the class or 0, product of the per-step
     denominators, bound, final width): every coefficient of the
     unreduced result lies below 2^bound, and the width is at least
-    ``_slot_width(bound)``.
+    ``slot_width(bound)``.
 
     The table maps (colours of the active edge classes, Z/2 class bits)
     to the packed sum of the products of local factors behind that key.
@@ -748,7 +740,6 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
     steps = _derived(skel, _elimination_plan)
     limit = len(domain) ** skel.e
     den = 1
-    packed = {}                 # id of a factor -> (factor, packed)
     table = {(0,): 1}           # key: active colours, then class bits
     active = []
     for done, (t, new, faces, finished) in enumerate(steps, 1):
@@ -809,22 +800,17 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
                     for w in weights.values()), default=0)
         limit *= norm
         den *= step_den
-        if width is None or _slot_width(limit.bit_length()) > width:
-            wider = _slot_width(limit.bit_length()
-                                + (len(steps) - done) * norm.bit_length())
+        if width is None or slot_width(limit.bit_length()) > width:
+            wider = slot_width(limit.bit_length()
+                               + (len(steps) - done) * norm.bit_length())
             if width is not None:
                 # the table before this step is within the old width
                 table = {key: negacyclic_pack(
                     negacyclic_unpack(value, r, width), wider)
                     for key, value in table.items()}
-                packed.clear()
             width = wider
-        scaled = {}
-        for key, w in weights.items():
-            got = packed.get(key)
-            if got is None:
-                got = packed[key] = (w, negacyclic_pack(w.num, width))
-            scaled[key] = got[1] * (step_den // w.den)
+        scaled = {key: negacyclic_pack(w.num, width) * (step_den // w.den)
+                  for key, w in weights.items()}
         for sig, opts in options.items():
             options[sig] = [(tail, bits, scaled[id(weight)])
                             for tail, bits, weight in opts]

@@ -13,20 +13,24 @@ point only ever appears in the display helper ``numeric_eval``.
 
 Quantum integers and their inverses are weighted sums of powers of zeta,
 read off the table of reduced powers of x with no division.  A product
-folds x^r = -1 before it reduces by Phi_{2r}, which divides x^r + 1; the
-schoolbook loop folds while it accumulates, into r slots, and the
+folds x^r = -1 before it reduces by Phi_{2r}, which divides x^r + 1.
+``Cyc.__mul__`` is the schoolbook loop: it folds while it accumulates,
+into r slots, over the nonzero coefficients of both operands, and the
 reduction runs over the modulus's nonzero coefficients only, adding or
-subtracting where they are -1 or 1.  A product or
-sum of operands with denominator 1 is integral, so already in lowest
-terms, and skips the gcd pass.  At
-degree ``KRONECKER_DEGREE`` and above, when both operands have at least
-``KRONECKER_NONZERO`` nonzero coefficients, the product is one big-integer
-multiply (Kronecker substitution): each coefficient vector is packed into
-an int at a slot width w of bits(max|a|) + bits(max|b|) + bits(deg) + 1
-bits rounded up to whole bytes, and the fold is a split of the product at
-r w bits; no value is kept packed.  The split (``negacyclic_fold``) and
-the reduction by Phi_2r (``FieldContext.reduce_negacyclic``) also serve
-the packed values of the state-sum engine and of the tetrahedron sum.
+subtracting where they are -1 or 1.  A product or sum of operands with
+denominator 1 is integral, so already in lowest terms, and skips the
+gcd pass.
+
+A chain of products is one packed evaluation,
+``FieldContext.packed_sum``: a signed sum of products of coefficient
+vectors in Z/(2^(rw) + 1), the image of Z[x]/(x^r + 1) at x = 2^w,
+folded after every multiply (``negacyclic_fold``), read back
+(``negacyclic_unpack``) and reduced by Phi_2r once.  As
+|f g|_inf <= |f|_1 |g|_1, no coefficient of the sum exceeds the sum
+over its terms of the products of the factors' l1 norms, and w is
+``slot_width`` of that bound.  ``FieldContext.product`` is one such
+term over the product of the denominators.  The state-sum engine keeps
+its table values in the same packed form.
 
 The quantum binomials [n k] = [n]! / ([k]! [n-k]!) for n <= r - 2 are
 integral, and the q-Pascal rule builds them with no division: each
@@ -42,10 +46,8 @@ elements.
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from operator import add
 
 import mpmath
@@ -105,8 +107,8 @@ class FieldContext:
     Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
     root of unity.  Instances cache the reduced powers of x, the
     quantum integers, their inverses, the bracket factorials and their
-    inverses and the quantum binomials they hand out, and the slot
-    constants of Kronecker products; get one via ``field_init``.
+    inverses and the quantum binomials they hand out; get one via
+    ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -145,7 +147,6 @@ class FieldContext:
         self.one = Cyc(self, self._xpow[0], 1)
         self.zeta = Cyc(self, self._xpow[q % (2 * r)], 1)
 
-        self._kron_slots: dict[int, tuple] = {}
         self._qint: dict[int, Cyc] = {}
         self._inv_qint: dict[int, Cyc] = {}
         self._fact: list = [self.one]
@@ -184,19 +185,43 @@ class FieldContext:
                     conv[base + i] -= c * m
         return tuple(conv[:deg])
 
-    def _kronecker_slots(self, wb: int) -> tuple:
-        """For slots of wb bytes: half a slot, that half in each of the
-        degree slots of an operand and in each of the r slots of a
-        product, and the struct that splits r slots apart."""
-        got = self._kron_slots.get(wb)
-        if got is None:
-            slot_half = b"\0" * (wb - 1) + b"\x80"
-            got = (1 << (8 * wb - 1),
-                   int.from_bytes(slot_half * self.degree, "little"),
-                   int.from_bytes(slot_half * self.r, "little"),
-                   struct.Struct("<" + f"{wb}s" * self.r))
-            self._kron_slots[wb] = got
-        return got
+    def packed_sum(self, terms) -> tuple:
+        """Power-basis coefficients of the signed sum of products
+        ``terms``, a list of pairs (negative, factors) of a flag and a
+        nonempty list of integer coefficient vectors of at most r
+        entries.
+
+        Evaluated in Z/(2^(rw) + 1), the image of Z[x]/(x^r + 1) at
+        x = 2^w: each factor is packed, each product folded as soon as
+        it is made, and the sum read back and reduced by Phi_2r once.
+        In Z[x]/(x^r + 1), |f g|_inf <= |f|_1 |g|_1, so no coefficient
+        of the sum exceeds the sum over the terms of the products of the
+        factors' l1 norms, and w is ``slot_width`` of that bound.
+        """
+        bound = 0
+        for _, factors in terms:
+            size = 1
+            for vec in factors:
+                size *= sum(map(abs, vec))
+            bound += size
+        r = self.r
+        width = slot_width(bound.bit_length())
+        shift = r * width
+        total = 0
+        for negative, factors in terms:
+            value = negacyclic_pack(factors[0], width)
+            for vec in factors[1:]:
+                value = negacyclic_fold(value * negacyclic_pack(vec, width),
+                                        shift)
+            total = total - value if negative else total + value
+        return self.reduce_negacyclic(negacyclic_unpack(total, r, width))
+
+    def product(self, values) -> "Cyc":
+        """The product of the elements ``values``: one ``packed_sum``
+        term over the product of their denominators."""
+        den = math.prod(v.den for v in values)
+        return Cyc(self, self.packed_sum([(False, [v.num for v in values])]),
+                   den, _normalised=den == 1)
 
     # -- constructors ------------------------------------------------------
 
@@ -336,16 +361,10 @@ def field_init(r: int, q: int) -> FieldContext:
     return FieldContext(r, q)
 
 
-# Products at this degree and above, of operands with at least this many
-# nonzero coefficients each, go through one big-integer multiply
-# (Kronecker substitution); otherwise the schoolbook loop, which skips
-# zero coefficients, is faster.  The crossover was measured on products
-# of bracket factorials and their inverses: at prime r the two are about
-# even at degrees 10 and 12 and Kronecker is faster from 16; at even r,
-# where half the coefficients are zero, the schoolbook loop wins below
-# about 10 nonzero coefficients per operand (README, Library).
-KRONECKER_DEGREE = 16
-KRONECKER_NONZERO = 10
+def slot_width(bound: int) -> int:
+    """Bits per slot that hold every coefficient below 2^bound in
+    absolute value: one more, for the sign."""
+    return bound + 1
 
 
 def negacyclic_fold(value: int, shift: int) -> int:
@@ -379,42 +398,6 @@ def negacyclic_unpack(value: int, r: int, width: int) -> list:
         digits.append(digit)
         value = (value - digit) >> width
     return digits
-
-
-def _kronecker_folded(ctx: FieldContext, a: tuple, b: tuple):
-    """The product of the nonzero coefficient vectors a and b modulo
-    x^r + 1, as r integers.
-
-    Each vector is packed into one int with coefficient i at bit w*i, so a
-    single multiply gives the convolution.  A coefficient of the product
-    modulo x^r + 1 sums at most deg products a_i b_j (i + j = k or k + r,
-    at most one j per i as deg <= r), so it lies below
-    2^(bits(max|a|) + bits(max|b|) + bits(deg)) = 2^(w - 1) for w one bit
-    wider, rounded up to whole bytes: every slot holds a signed value
-    exactly, before and after folding.
-    """
-    ma = max(max(a), -min(a))
-    mb = max(max(b), -min(b))
-    r = ctx.r
-    bits = ma.bit_length() + mb.bit_length() + ctx.degree.bit_length()
-    wb = (bits + 8) >> 3
-    w = wb << 3
-    half, pack_off, unpack_off, slots = ctx._kronecker_slots(wb)
-
-    def pack(vec):
-        return int.from_bytes(b"".join([(c + half).to_bytes(wb, "little")
-                                        for c in vec]), "little") - pack_off
-
-    prod = pack(a) * pack(b)
-    # x^r = -1: the fold gives the folded value X, |X| < 2^(rw - 1), or
-    # X + 2^(rw) + 1 when the low r slots are negative
-    shift = r * w
-    low = negacyclic_fold(prod, shift)
-    if low >= 1 << (shift - 1):
-        low -= (1 << shift) + 1
-    data = (low + unpack_off).to_bytes(r * wb, "little")
-    return [c - half for c in map(int.from_bytes, slots.unpack(data),
-                                  repeat("little", r))]
 
 
 class Cyc:
@@ -507,26 +490,19 @@ class Cyc:
                            self.den * other.denominator)
         self._check(other)
         ctx = self.ctx
-        deg = ctx.degree
         r = ctx.r
-        a, b = self.num, other.num
-        if (deg >= KRONECKER_DEGREE
-                and deg - a.count(0) >= KRONECKER_NONZERO
-                and deg - b.count(0) >= KRONECKER_NONZERO):
-            conv = _kronecker_folded(ctx, a, b)
-        else:
-            # x^r = -1 because Phi_2r divides x^r + 1: fold while
-            # accumulating, into r slots
-            conv = [0] * r
-            terms_b = [(j, y) for j, y in enumerate(b) if y]
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in terms_b:
-                        k = i + j
-                        if k < r:
-                            conv[k] += x * y
-                        else:
-                            conv[k - r] -= x * y
+        # x^r = -1 because Phi_2r divides x^r + 1: fold while
+        # accumulating, into r slots
+        conv = [0] * r
+        terms_b = [(j, y) for j, y in enumerate(other.num) if y]
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in terms_b:
+                    k = i + j
+                    if k < r:
+                        conv[k] += x * y
+                    else:
+                        conv[k - r] -= x * y
         # an integral product is already normalised
         den = self.den * other.den
         return Cyc(ctx, ctx.reduce_negacyclic(conv), den,

@@ -24,10 +24,10 @@ from tvcalc import (
     tv,
     tv_at_class,
 )
-from tvcalc.colourings import WeightSystem, _cache, _search_plan, \
-    _third_colours, edge_weight, triangle_weight, vertex_weight
-from tvcalc.cyclotomic import KRONECKER_DEGREE, KRONECKER_NONZERO, \
-    MAX_LEVEL, Cyc, FieldContext
+from tvcalc.colourings import WeightSystem, _cache, _elimination_walk, \
+    _search_plan, _third_colours, edge_weight, triangle_weight, \
+    vertex_weight
+from tvcalc.cyclotomic import MAX_LEVEL, Cyc, FieldContext
 from tvcalc.fastalgo import adm4_structured
 from tvcalc.loopcoords import IntersectionSymbol, decompose_symbol, \
     tet_weight_loop
@@ -262,6 +262,50 @@ def test_triangle_weight_symmetric():
             assert triangle_weight(ctx, *p) == base
 
 
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 9, 12, 16, 23, 31, 36,
+                               47])
+def test_triangle_weights_match_factorial_oracle(r, census1):
+    # every admissible sorted triple, bit for bit, against
+    # (-1)^h [h-a]! [h-b]! [h-c]! / [h+1]! with h the half-sum, from
+    # factorials built here by plain products (pairs shared).  The
+    # recurrence reads its neighbour (a, b, c - 2) from the pool, so the
+    # first pass starts from a fresh context and the second runs in
+    # reverse order over the warm pool.  Neither the weights nor an
+    # engine run extend the context's factorial tables
+    ctx = FieldContext(r, 1)
+    fact, inv_fact = [ctx.one], [ctx.one]
+    for k in range(1, r):
+        fact.append(fact[-1] * ctx.quantum_integer(k))
+        inv_fact.append(inv_fact[-1] * ctx.inverse_quantum_integer(k))
+    triples = [(a, b, c) for a in range(r - 1) for b in range(a, r - 1)
+               for c in range(b, r - 1) if _oracle_triple(r, a, b, c)]
+    heads, tails, want = {}, {}, {}
+    for a, b, c in triples:
+        h = (a + b + c) // 2
+        head = heads.get((h - c, h - b))
+        if head is None:
+            head = heads[h - c, h - b] = fact[h - c] * fact[h - b]
+        tail = tails.get((h - a, h))
+        if tail is None:
+            tail = tails[h - a, h] = fact[h - a] * inv_fact[h + 1]
+        value = head * tail
+        if h & 1:
+            value = -value
+        want[a, b, c] = (value.num, value.den)
+
+    ctx = FieldContext(r, 1)
+    for order in (triples, triples[::-1]):
+        for key in order:
+            got = triangle_weight(ctx, *key)
+            assert (got.num, got.den) == want[key], key
+    assert len(_cache(ctx)["triangle"]) == len(triples)
+    for tri in census1:
+        skel = build_skeleton(tri)
+        if skel.v == 1:
+            _elimination_walk(skel, ctx)
+    assert ctx._fact == [ctx.one] and ctx._inv_fact == [ctx.one]
+
+
 def test_tetrahedron_weight_zero_colouring():
     for r in (4, 5, 7):
         ctx = field_init(r, 1)
@@ -334,7 +378,7 @@ def _admissible_tet_colours(r, rng, count):
 @pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 31, 36, 47])
 def test_cached_tet_weights_match_uncached_oracle(r):
     # prime, odd composite and even levels (the inverse factorials have
-    # denominators at composite r), below and above KRONECKER_DEGREE.
+    # denominators at composite r), at degrees from 4 to 46.
     # The samples hold every admissible colouring with colours <= 2: a
     # slot width sized from the binomial coefficients C(n, k) in place
     # of the l1 norms of the reduced binomials gets (2, 2, 2, 2, 2, 0)
@@ -400,8 +444,8 @@ def _gaussian_binomial(n, k):
 
 def test_weight_caches_stay_bounded(census1, census2):
     # after a one-tetrahedron invariant at r = 23 the context keeps its
-    # quantum integer and factorial tables, the slot constants of
-    # Kronecker products and the quantum binomials, and nothing packed.
+    # quantum integer and factorial tables and the quantum binomials,
+    # and nothing packed.
     # Each binomial [n k] equals, bit for bit, zeta^(-k(n-k)) times the
     # Gaussian binomial in zeta^2 read off the power table; [n k] and
     # [n n-k] are one object; rows stop at n = r - 2
@@ -411,8 +455,8 @@ def test_weight_caches_stay_bounded(census1, census2):
     ctx = value.ctx
     assert set(vars(ctx)) == {
         "r", "q", "order", "modulus", "degree", "_mod_terms", "_xpow",
-        "zero", "one", "zeta", "_kron_slots", "_qint", "_inv_qint",
-        "_fact", "_inv_fact", "_binom"}
+        "zero", "one", "zeta", "_qint", "_inv_qint", "_fact", "_inv_fact",
+        "_binom"}
     assert 2 < len(ctx._binom) <= r - 1
     for n, row in enumerate(ctx._binom):
         assert len(row) == n + 1
@@ -422,12 +466,11 @@ def test_weight_caches_stay_bounded(census1, census2):
             for j, c in enumerate(_gaussian_binomial(n, k)):
                 want = want + ctx.zeta_power(2 * j - k * (n - k)) * c
             assert (entry.num, entry.den) == (want.num, want.den)
-    # a Kronecker product with a factorial operand keeps no value
+    # a product with a factorial operand keeps no value
     factorial = ctx.bracket_factorial(r - 2)
     tables = [dict(ctx._qint), dict(ctx._inv_qint), list(ctx._fact),
               list(ctx._inv_fact), [list(row) for row in ctx._binom]]
     dense = Cyc(ctx, tuple(range(1, ctx.degree + 1)))
-    assert ctx.degree >= max(KRONECKER_DEGREE, KRONECKER_NONZERO)
     assert (dense * dense) * factorial != ctx.zero
     assert [dict(ctx._qint), dict(ctx._inv_qint), list(ctx._fact),
             list(ctx._inv_fact), [list(row) for row in ctx._binom]] == tables

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcalc import field_init, numeric_eval
-from tvcalc.cyclotomic import KRONECKER_DEGREE, MAX_LEVEL, Cyc, \
-    FieldContext, bracket_factorial, cyclotomic_polynomial, quantum_integer
+from tvcalc.cyclotomic import MAX_LEVEL, Cyc, FieldContext, \
+    bracket_factorial, cyclotomic_polynomial, quantum_integer
 
 LEVELS = [(3, 1), (4, 1), (5, 1), (5, 3), (7, 2), (8, 3), (9, 5), (12, 5),
           (16, 3)]
@@ -261,7 +261,7 @@ def _assert_schoolbook(a, b):
 @given(st.data())
 def test_product_folds_x_to_the_r(data):
     # r = 2^k (Phi_2r = x^r + 1), prime r, and composite r with deg << r,
-    # on both sides of KRONECKER_DEGREE
+    # at degrees from 2 to 46
     r = data.draw(st.sampled_from([3, 4, 5, 6, 8, 9, 12, 15, 16, 30, 31,
                                    32, 45, 47]))
     q = data.draw(st.sampled_from(
@@ -286,30 +286,86 @@ def test_products_match_schoolbook_at_every_degree():
             _assert_schoolbook(a, b)
 
 
+def _monomial(ctx, c, i):
+    vec = [0] * ctx.degree
+    vec[i] = c
+    return vec
+
+
 @pytest.mark.parametrize("r", [23, 31, 47])
 def test_product_fills_its_slots(r):
-    # a = M_a (1, 1, ..., 1) and b = M_b (1, -1, ..., -1) put deg - 1
-    # products of one sign into coefficient 0 once x^r = -1 is folded.
-    # With bits(M_a) + bits(M_b) + bits(deg) a multiple of 8, that sum
-    # needs all of it plus a sign bit, so a slot one bit narrower fails.
+    # packed_sum at its proven width.  Every factor is a monomial
+    # c x^i, and every term lands on coefficient 0 with a plus sign once
+    # x^r = -1 is folded, after one multiply, two, or none.  So that
+    # coefficient equals the bound sum_terms prod_factors |f|_1: it
+    # needs every bit of slot_width(bits(bound)), and a slot one bit
+    # narrower misreads it
     ctx = field_init(r, 1)
-    assert ctx.degree >= KRONECKER_DEGREE and ctx.degree == r - 1
-    extra = ctx.degree.bit_length()
-    bits_a, bits_b = 100, 108 - extra
-    big_a, big_b = 2**bits_a - 1, 2**bits_b - 1
-    assert (ctx.degree - 1) * big_a * big_b >= 2 ** (bits_a + bits_b
-                                                     + extra - 1)
-    a = Cyc(ctx, (big_a,) * ctx.degree)
-    b = Cyc(ctx, (big_b,) + (-big_b,) * (ctx.degree - 1))
-    _assert_schoolbook(a, b)
+    assert ctx.degree == r - 1
+    m0, m1, m2 = 2**100 - 1, 2**57 + 3, 3**40
+    terms = [
+        (False, [_monomial(ctx, m0, 0), _monomial(ctx, m1, 0)]),
+        (True, [_monomial(ctx, m1, r - 2), _monomial(ctx, m2, 2)]),
+        (False, [_monomial(ctx, m0, r - 2), _monomial(ctx, m1, r - 2),
+                 _monomial(ctx, m2, 4)]),
+        (True, [_monomial(ctx, -m2, 0)]),
+    ]
+    bound = m0 * m1 + m1 * m2 + m0 * m1 * m2 + m2
+    want = ctx.zero
+    for negative, factors in terms:
+        chain = [Cyc(ctx, vec) for vec in factors]
+        value = chain[0]
+        for f in chain[1:]:
+            value = _reference_product(value, f)
+        want = want - value if negative else want + value
+    assert want.num == (bound,) + (0,) * (ctx.degree - 1)
+    assert ctx.packed_sum(terms) == want.num
+
+
+@pytest.mark.parametrize("r", [4, 6, 9, 16, 31, 47, 105])
+def test_packed_products_match_reference_chains(r):
+    # FieldContext.product and packed_sum against chains of
+    # _reference_product: even, odd composite and prime levels, and
+    # r = 105, whose modulus has coefficients +-2.  The inverse quantum
+    # integers have denominators at composite r, and the random
+    # elements at every r
+    ctx = field_init(r, 1)
+    rng = random.Random(r)
+    values = [ctx.quantum_integer(k) for k in range(1, r)]
+    values += [ctx.inverse_quantum_integer(k) for k in range(1, r)]
+    assert any(v.den > 1 for v in values) == (r in (4, 6, 9, 16, 105))
+    values += [ctx.zeta_power(k) for k in range(0, 2 * r, 3)]
+    values += [ctx.quantum_binomial(r - 2, k) for k in range(r - 1)]
+    for _ in range(6):
+        values.append(ctx.from_fractions(
+            [Fraction(rng.randint(-2**60, 2**60), rng.randint(1, 9))
+             for _ in range(ctx.degree)]))
+    values.append(ctx.zero)
+    for _ in range(20):
+        chain = [rng.choice(values) for _ in range(rng.randint(1, 6))]
+        want = chain[0]
+        for f in chain[1:]:
+            want = _reference_product(want, f)
+        got = ctx.product(chain)
+        assert (got.num, got.den) == (want.num, want.den)
+    integral = [v for v in values if v.den == 1]
+    for _ in range(10):
+        terms, want = [], ctx.zero
+        for _ in range(rng.randint(1, 5)):
+            chain = [rng.choice(integral) for _ in range(rng.randint(1, 5))]
+            negative = rng.random() < 0.5
+            terms.append((negative, [f.num for f in chain]))
+            value = chain[0]
+            for f in chain[1:]:
+                value = _reference_product(value, f)
+            want = want - value if negative else want + value
+        assert ctx.packed_sum(terms) == want.num
 
 
 @pytest.mark.parametrize("r", [17, 36, 40])
 def test_products_by_packed_factorials(r):
-    # a factorial-table entry as the right operand of a Kronecker
-    # product, packed with the left one at their common slot width;
-    # prime and even levels, with left operands of several sizes so
-    # that several slot widths occur
+    # a factorial-table entry as the right operand of a product; prime
+    # and even levels, with left operands of several sizes
     ctx = FieldContext(r, 1)
     rng = random.Random(r)
     for _ in range(10):
@@ -322,7 +378,6 @@ def test_products_by_packed_factorials(r):
                       ctx.inverse_bracket_factorial(i)):
                 _assert_schoolbook(a, f)
                 _assert_schoolbook(a, f)
-    assert len(ctx._kron_slots) > 1
 
 
 def test_products_reduce_by_a_modulus_with_other_coefficients():
@@ -340,13 +395,12 @@ def test_products_reduce_by_a_modulus_with_other_coefficients():
 
 
 def test_cancelling_products_and_sums_come_back_normalised():
-    # below KRONECKER_DEGREE an integral product or sum skips the gcd
-    # pass; one whose denominators cancel must still come back in lowest
-    # terms: [k] * 1/[k] is 1 over 1 at composite levels too, where 1/[k]
-    # has a denominator, and every product or sum equals its own
-    # renormalisation
-    levels = [r for r in range(3, 40)
-              if field_init(r, 1).degree < KRONECKER_DEGREE]
+    # an integral product or sum skips the gcd pass; one whose
+    # denominators cancel must still come back in lowest terms:
+    # [k] * 1/[k] is 1 over 1 at composite levels too, where 1/[k] has a
+    # denominator, and every product or sum equals its own
+    # renormalisation; at the levels of degree below 16
+    levels = [r for r in range(3, 40) if field_init(r, 1).degree < 16]
     assert levels[0] == 3 and field_init(levels[-1], 1).degree == 12
     assert any(field_init(r, 1).inverse_quantum_integer(k).den > 1
                for r in levels for k in range(1, r))

@@ -25,7 +25,6 @@ from tvcalc.colourings import (
     _elimination_sum,
     _elimination_walk,
     _packed_walk,
-    _slot_width,
 )
 from tvcalc.cyclotomic import (
     Cyc,
@@ -34,6 +33,7 @@ from tvcalc.cyclotomic import (
     negacyclic_fold,
     negacyclic_pack,
     negacyclic_unpack,
+    slot_width,
 )
 from tvcalc.fastalgo import tv_odd_fast
 
@@ -159,7 +159,7 @@ def test_width_bound_holds_every_coefficient(census_skeletons):
                 for coords in [None] + _classes(skel):
                     value, _, bound, used = _packed_walk(skel, ctx, coords,
                                                          width)
-                    assert used == width and _slot_width(bound) <= width
+                    assert used == width and slot_width(bound) <= width
                     top = max(map(abs, negacyclic_unpack(value, r, width)))
                     assert top < 1 << bound, (index, r, base, coords)
 
@@ -172,7 +172,7 @@ def test_extreme_coefficients_round_trip_at_the_slot_width(r):
     ctx = field_init(r, 1)
     rng = random.Random(r)
     for bound in (1, 2, 7, 30, 64, 200):
-        width = _slot_width(bound)
+        width = slot_width(bound)
         modulus = (1 << (r * width)) + 1
         top = (1 << bound) - 1
         for _ in range(10):
@@ -218,10 +218,10 @@ def test_any_first_width_gives_the_exact_walk(census2):
             for coords in [None] + _classes(skel):
                 value, den, bound, _ = _packed_walk(skel, ctx, coords, 1024)
                 want = negacyclic_unpack(value, r, 1024)
-                for width in range(2, _slot_width(bound) + 1):
+                for width in range(2, slot_width(bound) + 1):
                     got, got_den, _, used = _packed_walk(skel, ctx, coords,
                                                          width)
-                    assert used >= _slot_width(bound) and got_den == den
+                    assert used >= slot_width(bound) and got_den == den
                     assert negacyclic_unpack(got, r, used) == want, (
                         r, coords, width)
 

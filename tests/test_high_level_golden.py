@@ -1,11 +1,12 @@
-"""Replay of ``compute --json`` at levels where products go through
-Kronecker substitution.
+"""Replay of ``compute --json`` at levels above those of
+``cli_golden.json``.
 
-``cli_golden.json`` stops at r = 6, below ``KRONECKER_DEGREE``.  This
-file pins the three one-vertex one-tetrahedron census members (written as
+``cli_golden.json`` stops at r = 6.  This file pins the three
+one-vertex one-tetrahedron census members (written as
 ``census_t1_{i:04d}.tri``, with i their index in the n = 1 census) at
-r = 17, 23 and 31, and after those at r = 47, for the automatic
-algorithm and for ``--algorithm naive``.  At r = 47 the tetrahedron sum
+r = 17, 23 and 31, where field elements have 16 to 30 coefficients,
+and after those at r = 47, for the automatic algorithm and for
+``--algorithm naive``.  At r = 47 the tetrahedron sum
 needs slot widths that a bound from binomial coefficients alone gets
 wrong.  Exit code, stdout and stderr must match byte for byte.
 
