@@ -11,16 +11,18 @@ factor per vertex, edge, triangle and tetrahedron class.
 One backtracking walker, ``_backtrack``, fills given slots of a colour
 list in order and tests each triangle once its last slot has a colour,
 against a per-level lookup of the admissible third colours of each
-pair (``_third_colours``).  It is the search behind
+pair (``_third_colours``); a slot that is the lone entry of a triangle
+it decides tries only that lookup's range.  It is the search behind
 ``enumerate_admissible`` (all edges, in an order chosen so triangles
-complete as early as possible), behind each step of the elimination
-engine (a tetrahedron's new edges) and behind the level-4 cocycle walk
-of ``fastalgo``; ``count_admissible`` runs the search of
-``enumerate_admissible`` keeping no colouring.
-``EnumerationStats.nodes_visited``
-counts the fully assigned candidates it builds: every value tried at the
-last slot, or 1 when there are no slots.  Pruned interior branches never
-build a candidate and are not counted.
+complete as early as possible), behind the extensions of each step of
+the elimination engine (a tetrahedron's new edges) and behind the
+level-4 cocycle walk of ``fastalgo``; ``count_admissible`` runs the
+search of ``enumerate_admissible`` keeping no colouring.
+``EnumerationStats.nodes_visited`` counts the fully assigned candidates
+of a search that tries every domain value at the last slot: |domain|
+per admissible assignment of the other slots, or 1 when there are no
+slots, however few values the range lets the walker try.  Pruned
+interior branches never build a candidate and are not counted.
 
 Every invariant value comes from one engine, ``_elimination_sum``:
 dynamic programming over tetrahedra that never lists whole colourings.
@@ -47,14 +49,18 @@ Weights are cached per field context: triangle and tetrahedron
 weights (an edge weight is a quantum integer, which the context keeps),
 the engine's local factors per pair of tetrahedron key and
 edge-and-triangle key ("local"), and in front of those the same
-factors per step kind (new edge positions, new faces) and raw six
-colours ("local_raw"), which holds no values of its own and is keyed by
-the one tuple per distinct six colours that "tet_raw" keeps.  The
+factors per new edge positions and new faces and raw six colours
+("local_raw"), which holds no values of its own and is keyed by the one
+tuple per distinct six colours that "tet_raw" keeps.  In front of both,
+"ext" keeps the extensions of each engine step, per domain, step kind
+and colours of the tetrahedron's old edges, with the numerators and
+denominators of "local" values.  The
 pools hold memos only, and the engine asks for at most two contexts per
 level.  Every key is built from colours or half-sums below r, so each
 pool is bounded by a function of the level (README, Library).  The
-cocycle basis, the search and elimination plans and the validity of a
-skeleton are built once per distinct skeleton (``_derived``).
+cocycle basis, the search and elimination plans, the engine's step
+layouts and the validity of a skeleton are built once per distinct
+skeleton (``_derived``).
 """
 from __future__ import annotations
 
@@ -63,6 +69,7 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .cyclotomic import (
     MAX_LEVEL,
@@ -162,16 +169,22 @@ def _backtrack(r: int, domain, colours, slots, checks, stats=None,
     """Every filling of ``colours`` at ``slots`` that passes ``checks``.
 
     The slots are filled in order, each with the values of ``domain`` in
-    increasing order.  checks[k] lists the position triples decided once
-    the first k slots are filled (checks[0] reads fixed entries only);
-    each triple is tested against the level's ``_third_colours`` lookup
-    at that depth and a failure prunes the branch.  A full filling is
+    increasing order; ``domain`` holds all colours of the level or the
+    even ones (``_domain``), so a triangle of two of its colours admits
+    no third colour outside it.  checks[k] lists the position triples
+    decided once the first k slots are filled (checks[0] reads fixed
+    entries only); each triple is tested against the level's
+    ``_third_colours`` lookup at that depth and a failure prunes the
+    branch.  Where a slot is the lone entry of a triple it decides, the
+    slot takes only the lookup's range for the other two colours (met
+    with the domain if a fixed colour there lies outside it), which
+    tries the same passing values in the same order.  A full filling is
     taken when ``accept`` is None or true on the colour list.  Returns
     the taken colourings as tuples, in lexicographic order along the
     slots, or [] when not ``keep``.  With ``stats``, ``admissible_count``
-    grows by every filling taken and ``nodes_visited`` by every value
-    tried at the last slot, or by 1 when there are no slots: the fully
-    assigned candidates built.
+    grows by every filling taken and ``nodes_visited`` by |domain| at
+    every visit of the last slot, or by 1 when there are no slots: the
+    fully assigned candidates of a walk trying every domain value.
     """
     ranges = _third_colours(r)
     colours = list(colours)
@@ -185,9 +198,14 @@ def _backtrack(r: int, domain, colours, slots, checks, stats=None,
         leaf = k == last
         if leaf and stats is not None:
             stats.nodes_visited += len(domain)
-        slot = slots[k]
-        tests = checks[k + 1]
-        for value in domain:
+        slot, pair, outside, tests = plan[k]
+        if pair is None:
+            values = domain
+        else:
+            values = ranges[colours[pair[0]]][colours[pair[1]]]
+            if outside:
+                values = [value for value in values if value in domain]
+        for value in values:
             colours[slot] = value
             for a, b, c in tests:
                 if colours[c] not in ranges[colours[a]][colours[b]]:
@@ -203,6 +221,7 @@ def _backtrack(r: int, domain, colours, slots, checks, stats=None,
     if all(colours[c] in ranges[colours[a]][colours[b]]
            for a, b, c in checks[0]):
         if last >= 0:
+            plan = _slot_plan(r, colours, domain, slots, checks)
             walk(0)
         elif accept is None or accept(colours):
             count += 1
@@ -213,6 +232,29 @@ def _backtrack(r: int, domain, colours, slots, checks, stats=None,
     if stats is not None:
         stats.admissible_count += count
     return found
+
+
+def _slot_plan(r: int, colours, domain, slots, checks) -> list:
+    """Per slot of ``_backtrack``: (slot, the other two positions of the
+    first triple it decides whose lone entry it is, or None, whether a
+    fixed colour at those lies outside the domain, the other triples it
+    decides).  Every colour lies below r - 1, so only a domain short of
+    r - 1 colours has colours outside it."""
+    plan = []
+    partial = len(domain) < r - 1
+    for k, slot in enumerate(slots):
+        tests = checks[k + 1]
+        for i, (a, b, c) in enumerate(tests):
+            if (a == slot) + (b == slot) + (c == slot) != 1:
+                continue
+            pair = (b, c) if a == slot else (a, c) if b == slot else (a, b)
+            outside = partial and any(p not in slots and colours[p] not in
+                                      domain for p in pair)
+            plan.append((slot, pair, outside, tests[:i] + tests[i + 1:]))
+            break
+        else:
+            plan.append((slot, None, False, tests))
+    return plan
 
 
 def _domain(r: int, integer_only: bool) -> tuple:
@@ -239,23 +281,33 @@ def _search_plan(skel: Skeleton):
     ties broken by smallest class id.  Returns (order, checks) where
     checks[k] lists the (ea, eb, ec) triangle triples fully decided once
     the first k edges are assigned and not decided earlier.
+
+    Each triangle keeps its distinct unplaced classes, and each class
+    the number of triangles it would finish (those whose only unplaced
+    class it is), so placing a class touches only its own triangles and
+    a pick reads the counts alone.
     """
     triangles = skel.triangle_edge_classes
-    undecided = set(range(skel.e))
+    unplaced = [set(tri) for tri in triangles]
+    meets = [[] for _ in range(skel.e)]
+    finishes = [0] * skel.e
+    for t, edges in enumerate(unplaced):
+        for e in edges:
+            meets[e].append(t)
+        if len(edges) == 1:
+            finishes[min(edges)] += 1
     order = []
-    placed = set()
-    while undecided:
-        best, best_score = None, -1
-        for e in sorted(undecided):
-            score = 0
-            for tri in triangles:
-                if e in tri and all(x == e or x in placed for x in tri):
-                    score += 1
-            if score > best_score:
-                best, best_score = e, score
-        order.append(best)
-        placed.add(best)
-        undecided.discard(best)
+    left = list(range(skel.e))
+    while left:
+        # max keeps the first, so the smallest class, of equal counts
+        e = max(left, key=finishes.__getitem__)
+        left.remove(e)
+        order.append(e)
+        for t in meets[e]:
+            edges = unplaced[t]
+            edges.discard(e)
+            if len(edges) == 1:
+                finishes[min(edges)] += 1
 
     checks = [[] for _ in range(len(order) + 1)]
     level = {e: k for k, e in enumerate(order)}
@@ -330,7 +382,7 @@ def _cache(ctx: FieldContext) -> dict:
     got = _CACHES.get(ctx)
     if got is None:
         got = {"triangle": {}, "tet": {}, "tet_raw": {}, "local": {},
-               "local_raw": {}, "vertex": None}
+               "local_raw": {}, "ext": {}, "vertex": None}
         _CACHES[ctx] = got
     return got
 
@@ -506,8 +558,8 @@ def colouring_weight(source, colouring, r: int, q: int = 1) -> Cyc:
 # state sum
 
 # facts that depend on a skeleton's content alone (its validity, Z/2
-# cocycle basis, search plan and elimination plan), kept per distinct
-# skeleton while one equal to it is alive: within one call
+# cocycle basis, search plan, elimination plan and step layouts), kept
+# per distinct skeleton while one equal to it is alive: within one call
 # ``tv_odd_fast`` sums at two levels, ``compute --class`` needs the
 # cocycle basis three times and ``verify`` searches four times
 _DERIVED = weakref.WeakKeyDictionary()
@@ -642,6 +694,104 @@ def _picker(indices):
     return lambda key: ()
 
 
+def _step_layouts(skel: Skeleton) -> list:
+    """The steps of ``_elimination_plan`` laid out for ``_packed_walk``,
+    each a namespace of:
+
+    - ``kind``: (new faces, the new slot of each local edge or -1 for an
+      edge already active, the kept new slots);
+    - ``new``: the new edge classes, one per new slot;
+    - ``sig_of``: table key -> signature, the colours of the old local
+      edges in local order;
+    - ``keep_old``: table key -> colours of the active classes kept;
+    - ``slots``, ``checks``: the ``_backtrack`` slots and checks of the
+      local search, whose colour list holds the signature and then one
+      entry per new slot, and ``padding``, the zeros of those entries;
+    - ``odd_bits``: (slot, bit of the slot in the odd-mask) per slot;
+    - ``six``, ``tail_of``: colour list -> colours of local edges 0..5,
+      and of the kept new slots;
+    - ``new_edges``: the first local edge of each new slot, sorted.
+
+    A table key's extensions depend only on the kind, the domain and
+    the key's signature, so steps of one kind share them across walks,
+    skeletons and classes at one context.
+    """
+    layouts = []
+    active = []
+    for t, new, faces, finished in _derived(skel, _elimination_plan):
+        tet_edges = skel.tet_edge_classes[t]
+        where = tuple(new.index(e) if e in new else -1 for e in tet_edges)
+        old = [k for k, j in enumerate(where) if j < 0]
+        position = [old.index(k) if j < 0 else len(old) + j
+                    for k, j in enumerate(where)]
+        kept = tuple(j for j, e in enumerate(new) if e not in finished)
+        checks = [[] for _ in range(len(new) + 1)]
+        for face in faces:
+            tri = tuple(position[k] for k in FACE_EDGES[face])
+            checks[max(0, max(tri) - len(old) + 1)].append(tri)
+        layouts.append(SimpleNamespace(
+            kind=(faces, where, kept),
+            new=tuple(new),
+            sig_of=_picker([active.index(tet_edges[k]) for k in old]),
+            keep_old=_picker([i for i, e in enumerate(active)
+                              if e not in finished]),
+            slots=range(len(old), len(old) + len(new)),
+            checks=checks,
+            padding=(0,) * len(new),
+            odd_bits=[(len(old) + j, 1 << j) for j in range(len(new))],
+            six=itemgetter(*position),
+            tail_of=_picker([len(old) + j for j in kept]),
+            new_edges=tuple(sorted(where.index(j)
+                                   for j in range(len(new))))))
+        active = ([e for e in active if e not in finished]
+                  + [new[j] for j in kept])
+    return layouts
+
+
+@lru_cache(maxsize=None)
+def _shared(colours: tuple) -> tuple:
+    """One copy of each colour tuple: the "ext" pool keeps its
+    signatures and tails through this, as most of them repeat."""
+    return colours
+
+
+def _extensions(ctx: FieldContext, domain: tuple, step, memo: dict,
+                sig: tuple) -> tuple:
+    """The extensions of signature ``sig`` at ``step``, the value of the
+    "ext" pool: for every admissible filling of the new slots after
+    ``sig`` whose local factor is nonzero, in ``_backtrack``'s order,
+    four entries of one flat tuple: the colours of the kept new slots
+    (the tail), the odd-mask of the new colours (bit j for slot j), and
+    the numerator and denominator of the local factor.  So the pool
+    holds ints and tuples of ints only, which the cyclic garbage
+    collector stops tracking; with the factors themselves in it, the
+    collector's passes made a walk at size (seed-7 member, n = 16,
+    r = 9) some 4% slower.
+
+    The factor is looked up by raw colours in ``memo``, the step's
+    "local_raw" memo, keyed by the one tuple "tet_raw" keeps per
+    distinct six colours, and built by ``_local_factor`` on a miss.
+    """
+    faces = step.kind[0]
+    six, tail_of, odd_bits = step.six, step.tail_of, step.odd_bits
+    out = []
+    for colours in _backtrack(ctx.r, domain, sig + step.padding, step.slots,
+                              step.checks):
+        tet_colours = six(colours)
+        weight = memo.get(tet_colours)
+        if weight is None:
+            entry = _tet_entry(ctx, tet_colours)
+            weight = memo[entry[0]] = _local_factor(
+                ctx, entry, step.new_edges, faces)
+        if not weight.is_zero():
+            mask = 0
+            for slot, bit in odd_bits:
+                if colours[slot] & 1:
+                    mask |= bit
+            out += (_shared(tail_of(colours)), mask, weight.num, weight.den)
+    return tuple(out)
+
+
 def _base_q(r: int, q: int) -> tuple:
     """(base, s) with the invariant at (r, q) the image of the invariant
     at (r, base) under the automorphism x -> x^s.
@@ -705,11 +855,14 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
     the tetrahedron's new edges, rejects extensions that make a newly
     seen triangle class inadmissible, multiplies by one cached local
     factor (new edge weights, newly seen triangle weights, the
-    tetrahedron weight; looked up by raw colours in "local_raw", built
-    by ``_local_factor`` on a miss), and sums out the edge classes the
-    tetrahedron finishes.  The class bits are an XOR of per-edge
-    contributions over the odd colours, as ``reduce_colouring`` is
-    linear.  On a one-vertex skeleton the zero class holds exactly the
+    tetrahedron weight), and sums out the edge classes the tetrahedron
+    finishes.  A key's extensions are looked up in the "ext" pool, one
+    memo per domain and step kind (``_step_layouts``) keyed by the key's
+    signature, and searched for by ``_extensions`` only on a miss.  The
+    class bits are an XOR of per-edge contributions over the odd
+    colours, as ``reduce_colouring`` is linear, so an extension keeps
+    the odd-mask of its new colours and each walk maps the mask to class
+    bits.  On a one-vertex skeleton the zero class holds exactly the
     whole-colour colourings, so only the even colours are tried there.
 
     A step packs its factors as numerator times D_t / den at x = 2^w,
@@ -736,68 +889,35 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
             edge_bits = [basis.class_bits(1 << j) for j in range(skel.e)]
     domain = _domain(r, integer_only)
 
-    raw_pool = _cache(ctx)["local_raw"]
-    steps = _derived(skel, _elimination_plan)
+    pool = _cache(ctx)
+    ext_pool, raw_pool = pool["ext"], pool["local_raw"]
+    steps = _derived(skel, _step_layouts)
     limit = len(domain) ** skel.e
     den = 1
     table = {(0,): 1}           # key: active colours, then class bits
-    active = []
-    for done, (t, new, faces, finished) in enumerate(steps, 1):
-        tet_edges = skel.tet_edge_classes[t]
-        old = [e for e in active if e in tet_edges]
-        slot = {e: i for i, e in enumerate(old + new)}
-        sig_of = _picker([active.index(e) for e in old])
-        keep_old = _picker([i for i, e in enumerate(active)
-                            if e not in finished])
-        keep_new = [j for j, e in enumerate(new) if e not in finished]
-        tet_slots = [slot[e] for e in tet_edges]
-        six = itemgetter(*tet_slots)
-        tail_of = _picker([len(old) + j for j in keep_new])
-        new_edges = tuple(sorted(tet_edges.index(e) for e in new))
-        checks = [[] for _ in range(len(new) + 1)]
-        for face in faces:
-            tri = tuple(tet_slots[k] for k in FACE_EDGES[face])
-            checks[max(0, max(tri) - len(old) + 1)].append(tri)
-        # (slot, class bits) of the new edges whose odd colours move the
-        # class; none without a class or on the whole colours
-        new_bits = [(slot[e], edge_bits[e]) for e in new if edge_bits[e]]
-        new_slots = range(len(old), len(old) + len(new))
-        padding = (0,) * len(new)
-        # local factors by raw colours, one memo per step kind: the new
-        # edge positions (sorted, so equal kinds share) and new faces
-        memo = raw_pool.setdefault((new_edges, faces), {})
-
-        def factors(sig):
-            out = []
-            for colours in _backtrack(r, domain, sig + padding, new_slots,
-                                      checks):
-                tet_colours = six(colours)
-                weight = memo.get(tet_colours)
-                if weight is None:
-                    # keyed by the one tuple "tet_raw" keeps per distinct
-                    # six colours, whatever the kinds it turns up in
-                    entry = _tet_entry(ctx, tet_colours)
-                    weight = memo[entry[0]] = _local_factor(
-                        ctx, entry, new_edges, faces)
-                if weight.is_zero():
-                    continue
-                bits = 0
-                for i, contribution in new_bits:
-                    if colours[i] & 1:
-                        bits ^= contribution
-                out.append((tail_of(colours), bits, weight))
-            return out
-
+    for done, step in enumerate(steps, 1):
+        sig_of = step.sig_of
+        lists = ext_pool.get((integer_only, step.kind))
+        if lists is None:
+            lists = ext_pool[integer_only, step.kind] = {}
+        # local factors by raw colours, one memo per (new edge
+        # positions, new faces), which steps of several kinds share
+        raw = raw_pool.setdefault((step.new_edges, step.kind[0]), {})
         options = {}
         for key in table:
             sig = sig_of(key)
             if sig not in options:
-                options[sig] = factors(sig)
-        weights = {id(weight): weight for opts in options.values()
-                   for _, _, weight in opts}
-        step_den = math.lcm(*[w.den for w in weights.values()])
-        norm = max((sum(map(abs, w.num)) * (step_den // w.den)
-                    for w in weights.values()), default=0)
+                got = lists.get(sig)
+                if got is None:
+                    got = lists[_shared(sig)] = _extensions(
+                        ctx, domain, step, raw, sig)
+                options[sig] = got
+        # each local factor has a numerator tuple of its own
+        weights = {id(num): (num, fden) for opts in options.values()
+                   for num, fden in zip(opts[2::4], opts[3::4])}
+        step_den = math.lcm(*[fden for _, fden in weights.values()])
+        norm = max((sum(map(abs, num)) * (step_den // fden)
+                    for num, fden in weights.values()), default=0)
         limit *= norm
         den *= step_den
         if width is None or slot_width(limit.bit_length()) > width:
@@ -809,14 +929,22 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
                     negacyclic_unpack(value, r, width), wider)
                     for key, value in table.items()}
             width = wider
-        scaled = {key: negacyclic_pack(w.num, width) * (step_den // w.den)
-                  for key, w in weights.items()}
+        scaled = {key: negacyclic_pack(num, width) * (step_den // fden)
+                  for key, (num, fden) in weights.items()}
+        # class bits by odd-mask of the new colours: bit j of the mask
+        # moves the class by new edge j's bits, none without a class
+        bits_of = [0]
+        for e in step.new:
+            bits_of += [bits ^ edge_bits[e] for bits in bits_of]
         for sig, opts in options.items():
-            options[sig] = [(tail, bits, scaled[id(weight)])
-                            for tail, bits, weight in opts]
+            entries = iter(opts)
+            options[sig] = [(tail, bits_of[mask], scaled[id(num)])
+                            for tail, mask, num, _ in zip(
+                                entries, entries, entries, entries)]
 
         nxt = {}
         get = nxt.get
+        keep_old = step.keep_old
         for key, value in table.items():
             head = keep_old(key)
             bits = key[-1]
@@ -826,8 +954,6 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
         shift = r * width
         table = {key: negacyclic_fold(value, shift)
                  for key, value in nxt.items()}
-        active = ([e for e in active if e not in finished]
-                  + [new[j] for j in keep_new])
 
     # every edge class is finished, so only the class bits remain
     return table.get((target,), 0), den, limit.bit_length(), width

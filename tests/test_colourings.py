@@ -2,11 +2,13 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcalc import (
+    EnumerationStats,
     admissible_colouring,
     admissible_triple,
     build_skeleton,
@@ -17,6 +19,7 @@ from tvcalc import (
     enumerate_census,
     field_init,
     numeric_eval,
+    pachner_23,
     parse_triangulation,
     state_sum,
     sweep_sum,
@@ -24,15 +27,17 @@ from tvcalc import (
     tv,
     tv_at_class,
 )
-from tvcalc.colourings import WeightSystem, _cache, _elimination_walk, \
-    _search_plan, _third_colours, edge_weight, triangle_weight, \
-    vertex_weight
+from tvcalc.colourings import WeightSystem, _backtrack, _cache, \
+    _elimination_walk, _search_plan, _third_colours, edge_weight, \
+    triangle_weight, vertex_weight
 from tvcalc.cyclotomic import MAX_LEVEL, Cyc, FieldContext
 from tvcalc.fastalgo import adm4_structured
 from tvcalc.loopcoords import IntersectionSymbol, decompose_symbol, \
     tet_weight_loop
 from tvcalc.triangulation import ALL_PERMS, EDGE_INDEX, EDGE_VERTICES, \
     make_triangulation
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 # a three-tetrahedron census member whose elimination plan adds new
 # edges at unsorted local positions (no input with n <= 2 does)
@@ -191,6 +196,114 @@ def test_node_counts_match_prefix_oracle(census1, census2):
                 assert stats.nodes_visited == want, (tri, r, integer_only)
                 assert count_admissible(
                     skel, r, integer_only=integer_only) == stats
+
+
+def _quadratic_search_plan(skel):
+    """The greedy search plan as first written: rescore every unplaced
+    class against every triangle before each pick."""
+    triangles = skel.triangle_edge_classes
+    undecided = set(range(skel.e))
+    order = []
+    placed = set()
+    while undecided:
+        best, best_score = None, -1
+        for e in sorted(undecided):
+            score = 0
+            for tri in triangles:
+                if e in tri and all(x == e or x in placed for x in tri):
+                    score += 1
+            if score > best_score:
+                best, best_score = e, score
+        order.append(best)
+        placed.add(best)
+        undecided.discard(best)
+    checks = [[] for _ in range(len(order) + 1)]
+    level = {e: k for k, e in enumerate(order)}
+    for tri in triangles:
+        checks[1 + max(level[x] for x in tri)].append(tri)
+    return order, checks
+
+
+def test_search_plan_matches_quadratic_reference(census2):
+    # the corpus (n <= 3) and 2-3 walks from three n = 2 members to 16
+    # tetrahedra; some of them have a triangle with a repeated class
+    corpus = sorted(CORPUS.glob("*.tri"))
+    assert len(corpus) == 102
+    tris = [parse_triangulation(path.read_text()) for path in corpus]
+    tris.append(parse_triangulation(UNSORTED_NEW_EDGES))
+    for seed, start in enumerate(census2[:3]):
+        rng = random.Random(seed)
+        tri = start
+        while tri.n < 16:
+            skel = build_skeleton(tri)
+            internal = [c for c in range(skel.f)
+                        if len({loc // 4 for loc, cls
+                                in enumerate(skel.triangle_class)
+                                if cls == c}) == 2]
+            tri = pachner_23(tri, rng.choice(internal))
+            tris.append(tri)
+    repeated = 0
+    for tri in tris:
+        skel = build_skeleton(tri)
+        repeated += any(len(set(t)) < 3 for t in skel.triangle_edge_classes)
+        assert _search_plan(skel) == _quadratic_search_plan(skel), tri
+    assert repeated
+
+
+@st.composite
+def _walker_cases(draw):
+    """A level, a domain, a colour list with fixed entries, slots and
+    triangle checks placed at the depth that decides them; triangles may
+    repeat a position, and fixed colours may lie outside the domain."""
+    r = draw(st.integers(3, 8))
+    integer_only = draw(st.booleans())
+    size = draw(st.integers(1, 7))
+    colours = draw(st.lists(st.integers(0, r - 2), min_size=size,
+                            max_size=size))
+    slots = draw(st.permutations(range(size)))[:draw(st.integers(0, 4))]
+    triangles = draw(st.lists(
+        st.tuples(*[st.integers(0, size - 1)] * 3), max_size=6))
+    return r, integer_only, colours, slots, triangles
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walker_cases(), st.booleans())
+def test_backtrack_matches_brute_force_filter(case, filtered):
+    r, integer_only, colours, slots, triangles = case
+    domain = tuple(range(0, r - 1, 2) if integer_only else range(r - 1))
+    depth = {slot: k for k, slot in enumerate(slots)}
+    checks = [[] for _ in range(len(slots) + 1)]
+    for tri in triangles:
+        checks[max((depth[p] + 1 for p in tri if p in depth), default=0)] \
+            .append(tri)
+
+    def accept(cols):
+        return sum(cols) % 3 != 0
+
+    def passes(cols, k):
+        # every triangle decided once the first k slots have colours
+        return all(_oracle_triple(r, *(cols[p] for p in tri))
+                   for tri in triangles
+                   if all(p not in depth or depth[p] < k for p in tri))
+
+    want = []
+    prefixes = set()
+    for values in product(domain, repeat=len(slots)):
+        cols = list(colours)
+        for slot, value in zip(slots, values):
+            cols[slot] = value
+        if slots and passes(cols, len(slots) - 1):
+            prefixes.add(values[:-1])
+        if passes(cols, len(slots)) and (not filtered or accept(cols)):
+            want.append(tuple(cols))
+    nodes = len(domain) * len(prefixes) if slots else 1
+
+    for keep in (True, False):
+        stats = EnumerationStats()
+        got = _backtrack(r, domain, colours, slots, checks, stats, keep,
+                         accept if filtered else None)
+        assert got == (want if keep else [])
+        assert stats == EnumerationStats(nodes, len(want))
 
 
 def test_level4_node_counts_match_prefix_oracle(census1, census2):
@@ -479,7 +592,7 @@ def test_weight_caches_stay_bounded(census1, census2):
     # integers and "tet_raw" keeps the one key tuple per six colours
     pool = _cache(ctx)
     assert set(pool) == {"triangle", "tet", "tet_raw", "local", "local_raw",
-                         "vertex"}
+                         "ext", "vertex"}
     for colours, (kept, tet_key, value) in pool["tet_raw"].items():
         assert kept is colours and pool["tet"][tet_key] is value
     assert pool["local"]
@@ -512,6 +625,38 @@ def test_weight_caches_stay_bounded(census1, census2):
                     assert value is pool["tet_raw"][colours][2]
                 else:
                     assert id(value) in local_values
+
+    # the extension lists: one memo per (whole colours only, step kind),
+    # the kind being (new faces, new slot of each local edge or -1, kept
+    # new slots), keyed by colours of the level, each value a flat run
+    # of (tail of kept new colours, odd-mask of the new colours, and
+    # numerator and denominator of a nonzero "local" value), so it adds
+    # no values of its own either
+    for pool, r in ((_cache(ctx), 23), (_cache(field_init(7, 1)), 7)):
+        assert pool["ext"]
+        local_values = {id(value.num): value
+                        for value in pool["local"].values()}
+        for (integer_only, kind), memo in pool["ext"].items():
+            faces, where, kept = kind
+            new = max(where) + 1
+            assert faces == tuple(sorted(set(faces)))
+            assert set(faces) <= set(range(4))
+            assert len(where) == 6 and set(where) <= set(range(-1, 6))
+            assert set(range(new)) <= set(where)
+            assert kept == tuple(sorted(set(kept)))
+            assert set(kept) <= set(range(new))
+            for sig, exts in memo.items():
+                assert len(sig) == where.count(-1)
+                assert all(0 <= a <= r - 2 for a in sig)
+                assert len(exts) % 4 == 0
+                for tail, mask, num, den in zip(exts[::4], exts[1::4],
+                                                exts[2::4], exts[3::4]):
+                    assert len(tail) == len(kept)
+                    assert all(0 <= a <= r - 2 for a in tail)
+                    assert 0 <= mask < 1 << new
+                    assert not integer_only or mask == 0
+                    value = local_values[id(num)]
+                    assert not value.is_zero() and den == value.den
 
 
 def test_colouring_weight_rejects_inadmissible(census1):

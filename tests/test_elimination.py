@@ -21,10 +21,15 @@ from tvcalc import (
     sweep_sum,
 )
 from tvcalc.colourings import (
+    _backtrack,
+    _cache,
     _elimination_plan,
     _elimination_sum,
     _elimination_walk,
     _packed_walk,
+    edge_weight,
+    tetrahedron_weight,
+    triangle_weight,
 )
 from tvcalc.cyclotomic import (
     Cyc,
@@ -36,6 +41,7 @@ from tvcalc.cyclotomic import (
     slot_width,
 )
 from tvcalc.fastalgo import tv_odd_fast
+from tvcalc.triangulation import FACE_EDGES
 
 
 def _valid_q(r):
@@ -252,7 +258,22 @@ def test_cold_level_widens_and_stays_exact(census2, monkeypatch):
     assert widened == 4
 
 
-def test_walk_width_does_not_depend_on_earlier_walks(census2):
+def _mixed_walks(census2, census_skeletons):
+    """(skeleton, class) cases that share step kinds and signatures:
+    every other census member with the full sum and every class (the
+    nonzero ones, and on one vertex the whole-colour zero class), and
+    seed-7 members at n = 5 and 8 with the full sum and the zero class."""
+    grown = [build_skeleton(tri) for tri in _seed_walk(census2[1], 7, (5, 8))]
+    cases = []
+    for skel in census_skeletons[::2] + grown:
+        cases += [(skel, None)] + [(skel, coords)
+                                   for coords in _classes(skel)]
+    assert any(coords and any(coords) for _, coords in cases)
+    return cases
+
+
+def test_walk_width_does_not_depend_on_earlier_walks(census2,
+                                                      census_skeletons):
     # census_t2_0012 at r = 7 packs at the same width on a fresh context
     # as after a larger walk (seed 7, n = 10) has run at that context
     skel = build_skeleton(census2[12])
@@ -263,6 +284,70 @@ def test_walk_width_does_not_depend_on_earlier_walks(census2):
     after = _packed_walk(skel, ctx, None)
     assert after[2:] == fresh[2:] == (24, 25)
     assert after == fresh
+    # after a mixed sequence of walks at one context per level, sharing
+    # its extension lists, each walk gives what it gives on a fresh one
+    cases = _mixed_walks(census2, census_skeletons)
+    for r in range(3, 8):
+        ctx = FieldContext(r, 1)
+        shared = [_packed_walk(skel, ctx, coords) for skel, coords in cases]
+        assert len(_cache(ctx)["ext"]) > 1
+        for (skel, coords), got in zip(cases, shared):
+            assert got == _packed_walk(skel, FieldContext(r, 1), coords), (
+                r, coords)
+
+
+def _rebuilt_extensions(ctx, integer_only, kind, sig):
+    """An "ext" list from its key alone: a fresh ``_backtrack`` over the
+    new slots with every face checked at the last one, and each weight
+    multiplied out from ``tetrahedron_weight``, ``edge_weight`` and
+    ``triangle_weight``, as (tail, odd-mask, (num, den)) triples."""
+    r = ctx.r
+    faces, where, kept = kind
+    new = max(where) + 1
+    old = [k for k, j in enumerate(where) if j < 0]
+    position = [old.index(k) if j < 0 else len(old) + j
+                for k, j in enumerate(where)]
+    domain = tuple(range(0, r - 1, 2) if integer_only else range(r - 1))
+    checks = [[] for _ in range(new + 1)]
+    checks[new] = [tuple(position[k] for k in FACE_EDGES[face])
+                   for face in faces]
+    out = []
+    for colours in _backtrack(r, domain, list(sig) + [0] * new,
+                              list(range(len(old), len(old) + new)), checks):
+        six = [colours[position[k]] for k in range(6)]
+        weight = tetrahedron_weight(ctx, six)
+        for j in range(new):
+            weight = weight * edge_weight(ctx, six[where.index(j)])
+        for face in faces:
+            weight = weight * triangle_weight(
+                ctx, *(six[k] for k in FACE_EDGES[face]))
+        if not weight.is_zero():
+            new_colours = colours[len(old):]
+            out.append((tuple(new_colours[j] for j in kept),
+                        sum(1 << j for j, a in enumerate(new_colours)
+                            if a & 1),
+                        (weight.num, weight.den)))
+    return out
+
+
+def test_cached_extensions_match_a_fresh_search(census2, census_skeletons):
+    # every list the walks leave in the "ext" pool, at both base
+    # contexts of an odd level and at an even level with denominators
+    cases = _mixed_walks(census2, census_skeletons)
+    checked = 0
+    for r, q in ((5, 1), (5, 6), (6, 1)):
+        ctx = FieldContext(r, q)
+        for skel, coords in cases:
+            _packed_walk(skel, ctx, coords)
+        for (integer_only, kind), memo in _cache(ctx)["ext"].items():
+            for sig, exts in memo.items():
+                got = [(tail, mask, (num, den))
+                       for tail, mask, num, den in zip(
+                           exts[::4], exts[1::4], exts[2::4], exts[3::4])]
+                assert got == _rebuilt_extensions(
+                    ctx, integer_only, kind, sig), (r, q, kind, sig)
+                checked += 1
+    assert checked > 1000
 
 
 def test_plan_visits_each_tetrahedron_and_finishes_every_edge(
