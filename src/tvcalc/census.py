@@ -6,12 +6,13 @@ combinatorial isomorphism, keeping those that triangulate a closed
 spheres).  Intended for desk scale only; the search is a plain backtracking
 sweep over face pairings with incremental edge-validity pruning.  That
 pruning is the skeleton's own edge rule: each gluing feeds the three edge
-pairs of ``FACE_EDGE_MAPS`` into a copy of the parity ``_UnionFind`` that
+pairs of ``FACE_EDGE_MAPS`` into the parity ``_UnionFind`` that
 ``build_skeleton`` uses, and a branch ends at the first failed union (an
-edge glued to itself in reverse).  The same union-find holds 4n more
-elements, one per tetrahedron corner, and each gluing joins the three
-corner pairs of the glued face, so its roots count the edges E and the
-vertices V of the quotient.
+edge glued to itself in reverse).  A second union-find holds the 4n
+tetrahedron corners, and each gluing joins the three corner pairs of the
+glued face.  Both are changed in place and undone to their trail marks on
+backtrack, so E and V of the quotient are the element counts less the
+trail lengths.
 
 A leaf (every face glued, no edge reversed) is decided by that count
 alone, with no skeleton.  It rests on two facts:
@@ -26,7 +27,8 @@ alone, with no skeleton.  It rests on two facts:
   2E vertices (the two ends of each edge class).
 
 So the sum is at most 2V, and every link is a sphere exactly when
-V - E + n = 0.
+V - E + n = 0.  Leaves that pass are keyed by the canonical form of the
+search's own table, and a ``Triangulation`` is built only for a new class.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ def _perm_tables():
     Returns (index, compose, inverse): index maps a permutation to its
     index, compose[a][b] indexes ALL_PERMS[a] after ALL_PERMS[b], and
     inverse[a] the inverse of ALL_PERMS[a].  Built on first use, as only
-    ``canonical_form`` reads them.
+    the canonical form and the census read them.
     """
     index = {p: i for i, p in enumerate(ALL_PERMS)}
     compose = tuple(tuple(index[perm_compose(p, q)] for q in ALL_PERMS)
@@ -65,7 +67,7 @@ def _perm_tables():
     return index, compose, inverse
 
 
-def _relabelling(targets, perms, n: int, start: int, start_perm: int, best,
+def _relabelling(table, n: int, start: int, start_perm: int, best,
                  compose, inverse):
     """The gluing table relabelled from a seed, unless it is above ``best``.
 
@@ -74,26 +76,27 @@ def _relabelling(targets, perms, n: int, start: int, start_perm: int, best,
     first time is relabelled so that the gluing reaching it becomes the
     identity.  Entry 4k + f of the result is 24 t2 + (permutation index)
     for face f of new tetrahedron k, or -1 for an unglued face, so the
-    entries order as the (t2, index) pairs do.  The walk gives up at the
-    first entry above ``best`` and returns None.
+    entries order as the (t2, index) pairs do; ``table`` is in the same
+    encoding.  The walk gives up at the first entry above ``best`` and
+    returns None.
     """
     new_index = [-1] * n
     new_index[start] = 0
     relabel = [0] * n      # old tet -> index of its relabelling old -> new
     relabel[start] = start_perm
     order = [start]        # old index of new tet k; grows while iterated
-    table = []
+    out = []
     below = best is None
     for old in order:
         rho = relabel[old]
         rho_inv = inverse[rho]
         base = 4 * old
         for old_face in ALL_PERMS[rho_inv]:
-            t2 = targets[base + old_face]
-            if t2 < 0:
+            glued = table[base + old_face]
+            if glued < 0:
                 entry = -1
             else:
-                p = perms[base + old_face]
+                t2, p = divmod(glued, 24)
                 k = new_index[t2]
                 if k < 0:
                     k = new_index[t2] = len(order)
@@ -104,14 +107,33 @@ def _relabelling(targets, perms, n: int, start: int, start_perm: int, best,
                     entry = 24 * k + compose[relabel[t2]][
                         compose[p][rho_inv]]
             if not below:
-                other = best[len(table)]
+                other = best[len(out)]
                 if entry > other:
                     return None
                 below = entry < other
-            table.append(entry)
+            out.append(entry)
     if len(order) != n:
         raise ValueError("disconnected triangulation")
-    return table
+    return out
+
+
+def _canonical_entries(table, n: int):
+    """The least relabelling of a table of 24 t2 + index entries.
+
+    Minimises over all choices of starting tetrahedron and starting vertex
+    permutation; see ``_relabelling`` for the encoding.
+    """
+    _, compose, inverse = _perm_tables()
+    best = None
+    for start in range(n):
+        for start_perm in range(len(ALL_PERMS)):
+            out = _relabelling(table, n, start, start_perm, best, compose,
+                               inverse)
+            if out is not None:
+                best = out
+    if best is None:
+        raise ValueError("empty triangulation")
+    return best
 
 
 def canonical_form(tri: Triangulation):
@@ -122,32 +144,24 @@ def canonical_form(tri: Triangulation):
     when their canonical forms agree (connected case).  The form is a
     tuple of (t2, index in ALL_PERMS) pairs, (-1, -1) for an unglued face.
     """
-    index, compose, inverse = _perm_tables()
-    targets = [-1 if g is None else g[0] for row in tri.gluings for g in row]
-    perms = [0 if g is None else index[g[1]]
+    index = _perm_tables()[0]
+    table = [-1 if g is None else 24 * g[0] + index[g[1]]
              for row in tri.gluings for g in row]
-    best = None
-    for start in range(tri.n):
-        for start_perm in range(len(ALL_PERMS)):
-            table = _relabelling(targets, perms, tri.n, start, start_perm,
-                                 best, compose, inverse)
-            if table is not None:
-                best = table
-    if best is None:
-        raise ValueError("empty triangulation")
-    return tuple((-1, -1) if e < 0 else divmod(e, 24) for e in best)
+    return tuple((-1, -1) if e < 0 else divmod(e, 24)
+                 for e in _canonical_entries(table, tri.n))
 
 
-def _from_form(sig) -> Triangulation:
-    """The gluing table a canonical form describes."""
+def _from_form(table) -> Triangulation:
+    """The triangulation a table of 24 t2 + index entries describes."""
     return make_triangulation(
-        [[None if t2 < 0 else (t2, ALL_PERMS[pidx])
-          for t2, pidx in sig[4 * t:4 * t + 4]]
-         for t in range(len(sig) // 4)])
+        [[None if e < 0 else (e // 24, ALL_PERMS[e % 24])
+          for e in table[4 * t:4 * t + 4]]
+         for t in range(len(table) // 4)])
 
 
 # Permutations gluing face f onto face f2: the three vertices of face f in
-# ascending order map onto the vertices of face f2 in each of six orders.
+# ascending order map onto the vertices of face f2 in each of six orders,
+# the first of them the order-preserving one.
 def _face_gluing_perms(f: int, f2: int):
     src = [u for u in range(4) if u != f]
     for image in itertools.permutations([u for u in range(4) if u != f2]):
@@ -158,77 +172,97 @@ def _face_gluing_perms(f: int, f2: int):
         yield tuple(p)
 
 
-_PERMS_BY_FACES = {
-    (f, f2): tuple(_face_gluing_perms(f, f2))
-    for f in range(4) for f2 in range(4)
-}
+@functools.cache
+def _moves(n: int):
+    """Every gluing of face slot a = 4t + f onto a later slot b = 4t2 + f2.
+
+    ``moves[a][b]`` lists, in the order of ``_face_gluing_perms(f, f2)``,
+    (permutation index, index of its inverse, the three edge unions
+    (6t + k, 6t2 + k2, flipped), the three corner unions (4t + u,
+    4t2 + p[u])).  When b is face f of a later tetrahedron the first move
+    is the identity.
+    """
+    index = _perm_tables()[0]
+    moves = [[()] * (4 * n) for _ in range(4 * n)]
+    for a in range(4 * n):
+        t, f = divmod(a, 4)
+        for b in range(a + 1, 4 * n):
+            t2, f2 = divmod(b, 4)
+            moves[a][b] = tuple(
+                (index[p], index[perm_invert(p)],
+                 tuple((6 * t + k, 6 * t2 + k2, flipped)
+                       for k, k2, flipped in FACE_EDGE_MAPS[f, p]),
+                 tuple((4 * t + u, 4 * t2 + p[u]) for u in range(4) if u != f))
+                for p in _face_gluing_perms(f, f2))
+    return moves
 
 
 def _leaves(n: int):
-    """Yield (gluings, classes) at every closed, edge-valid gluing table.
+    """Yield (table, E, V) at every closed, edge-valid gluing table.
 
-    ``gluings`` is the search's own table and ``classes`` its union-find:
-    edges 6t + k, then corners 6n + 4t + u.  Both change once the search
-    resumes, so read them before asking for the next leaf.
+    ``table`` is the search's own gluing table, in the encoding of
+    ``_canonical_entries``; E and V count the edge and vertex classes.
+    The table changes once the search resumes, so read it before asking
+    for the next leaf.
+
+    Each step glues the first unglued face a onto a later unglued face of
+    a tetrahedron in use, or onto the same face of the next tetrahedron by
+    the identity: all 96 (face, permutation) choices for a brand new
+    tetrahedron are equivalent under its relabelling.  One frame per glued
+    face sits on ``stack``: [a, tetrahedra in use, the moves left to try,
+    slot b of the move being tried or -1, edge and corner trail marks].
     """
-    gluings = [[None] * 4 for _ in range(n)]
-    corners = 6 * n
+    size = 4 * n
+    moves = _moves(n)
+    table = [-1] * size
+    edges = _UnionFind(6 * n)
+    corners = _UnionFind(4 * n)
+    edge_trail, corner_trail = edges.trail, corners.trail
+    edge_union, corner_union = edges.union, corners.union
 
-    def candidates(used):
-        # first unglued face
-        spot = next(((t, f) for t in range(used) for f in range(4)
-                     if gluings[t][f] is None), None)
-        if spot is None:
-            return None, ()
-        t, f = spot
-        opts = []
-        for t2 in range(t, used):
-            for f2 in range(4):
-                if gluings[t2][f2] is not None or (t2, f2) <= (t, f):
-                    continue
-                for p in _PERMS_BY_FACES[(f, f2)]:
-                    opts.append((t2, p))
+    def frame(a, used):
+        row = moves[a]
+        opts = [(b, move) for b in range(a + 1, 4 * used) if table[b] < 0
+                for move in row[b]]
         if used < n:
-            # a brand new tetrahedron: all 96 (face, permutation) choices
-            # are equivalent under its relabelling, so fix the identity
-            opts.append((used, (0, 1, 2, 3)))
-        return spot, opts
+            b = 4 * used + (a & 3)
+            opts.append((b, row[b][0]))
+        return [a, used, iter(opts), -1, len(edge_trail), len(corner_trail)]
 
-    def search(state, used):
-        spot, opts = candidates(used)
-        if spot is None:
-            if used == n:
-                yield gluings, state
-            return
-        t, f = spot
-        for t2, p in opts:
-            f2 = p[f]
-            branch = state.copy()
-            if not all(branch.union(6 * t + k, 6 * t2 + k2, flipped)
-                       for k, k2, flipped in FACE_EDGE_MAPS[f, p]):
-                continue
-            for u in range(4):
-                if u != f:
-                    branch.union(corners + 4 * t + u, corners + 4 * t2 + p[u])
-            gluings[t][f] = (t2, p)
-            gluings[t2][f2] = (t, perm_invert(p))
-            yield from search(branch, max(used, t2 + 1))
-            gluings[t][f] = None
-            gluings[t2][f2] = None
-
-    yield from search(_UnionFind(10 * n), 1)
-
-
-def _leaf_vertices(classes: _UnionFind, n: int):
-    """V if the leaf triangulates a closed 3-manifold, else None.
-
-    Counts the roots of the edge and corner elements; every vertex link
-    is a sphere exactly when V - E + n = 0 (see the module docstring).
-    """
-    parent = classes.parent
-    edges = sum(1 for x in range(6 * n) if parent[x] == x)
-    vertices = sum(1 for x in range(6 * n, 10 * n) if parent[x] == x)
-    return vertices if vertices - edges + n == 0 else None
+    stack = [frame(0, 1)]
+    while stack:
+        top = stack[-1]
+        a, used, opts, b, edge_mark, corner_mark = top
+        if b >= 0:
+            table[a] = table[b] = -1
+            edges.undo(edge_mark)
+            corners.undo(corner_mark)
+        # take the next move whose edge unions all hold
+        for b, (pidx, inverse, edge_unions, corner_unions) in opts:
+            for x, y, flipped in edge_unions:
+                if not edge_union(x, y, flipped):
+                    break
+            else:
+                break
+            edges.undo(edge_mark)
+        else:
+            stack.pop()
+            continue
+        top[3] = b
+        for x, y in corner_unions:
+            corner_union(x, y)
+        t2 = b >> 2
+        table[a] = 24 * t2 + pidx
+        table[b] = 24 * (a >> 2) + inverse
+        used = max(used, t2 + 1)
+        c = a + 1
+        while c < 4 * used and table[c] >= 0:
+            c += 1
+        if c < 4 * used:
+            stack.append(frame(c, used))
+        elif used == n:
+            yield table, 6 * n - len(edge_trail), size - len(corner_trail)
+        # else a closed piece on fewer than n tetrahedra: no connected table
 
 
 def enumerate_census(tets: int, one_vertex: bool = False,
@@ -247,19 +281,21 @@ def enumerate_census(tets: int, one_vertex: bool = False,
         raise ValueError(
             f"census supports 1..{MAX_CENSUS_TETS} tetrahedra, got {tets}")
     seen: set = set()
-    for gluings, classes in _leaves(tets):
-        if limit is not None and len(seen) >= limit:
+    emitted = 0
+    for table, e, v in _leaves(tets):
+        if limit is not None and emitted >= limit:
             return
-        # both filters test isomorphism invariants, so they run before the
-        # canonical form
-        v = _leaf_vertices(classes, tets)
-        if v is None or (one_vertex and v != 1):
+        # every vertex link is a sphere (see the module docstring)
+        if v - e + tets != 0 or (one_vertex and v != 1):
             continue
-        tri = make_triangulation(gluings)
-        if z2_homology_sphere and betti_z2(build_skeleton(tri), 1) != 0:
-            continue
-        key = canonical_form(tri)
+        key = tuple(_canonical_entries(table, tets))
         if key in seen:
             continue
+        # seen holds every class met, kept or not, so betti_z2 runs once
+        # per class
         seen.add(key)
-        yield _from_form(key)
+        tri = _from_form(key)
+        if z2_homology_sphere and betti_z2(build_skeleton(tri), 1) != 0:
+            continue
+        emitted += 1
+        yield tri

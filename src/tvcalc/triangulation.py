@@ -239,25 +239,27 @@ def serialise_triangulation(tri: Triangulation) -> str:
 
 
 class _UnionFind:
-    """Union-find with a parity bit per element, copy-on-branch.
+    """Union-find with a parity bit per element and an undo trail.
 
     An element's parity is relative to its parent, so the XOR along its
     path is its parity against the root.  Joining two elements of one
     class with a parity that disagrees fails; for edges that is an edge
     glued to itself in reverse.
+
+    Each successful merge attaches one root to another and appends it to
+    ``trail``, so the number of classes is ``len(parent) - len(trail)``.
+    There is no path compression: a merge changes only the root it
+    attaches, and ``undo(mark)`` detaches roots back to a trail length,
+    restoring ``parent`` and ``parity`` exactly.  The census backtracks
+    on that.
     """
 
-    __slots__ = ("parent", "parity")
+    __slots__ = ("parent", "parity", "trail")
 
     def __init__(self, size: int):
         self.parent = list(range(size))
         self.parity = [0] * size
-
-    def copy(self) -> "_UnionFind":
-        dup = object.__new__(_UnionFind)
-        dup.parent = self.parent.copy()
-        dup.parity = self.parity.copy()
-        return dup
+        self.trail = []
 
     def find(self, x: int):
         """(root, parity of x against the root)."""
@@ -275,7 +277,16 @@ class _UnionFind:
             return (px ^ py) == parity
         self.parent[ry] = rx
         self.parity[ry] = parity ^ px ^ py
+        self.trail.append(ry)
         return True
+
+    def undo(self, mark: int) -> None:
+        """Detach the roots merged after the trail had ``mark`` entries."""
+        parent, parity, trail = self.parent, self.parity, self.trail
+        while len(trail) > mark:
+            root = trail.pop()
+            parent[root] = root
+            parity[root] = 0
 
     def classes(self):
         """Class ids in first-appearance order; returns (ids, count)."""
