@@ -121,18 +121,36 @@ def _canonical_entries(table, n: int):
     """The least relabelling of a table of 24 t2 + index entries.
 
     Minimises over all choices of starting tetrahedron and starting vertex
-    permutation; see ``_relabelling`` for the encoding.
+    permutation; see ``_relabelling`` for the encoding.  The first entry
+    of a relabelling is a table read: from start s with permutation rho,
+    face rho^-1(0) of s, glued to (t2, p), gives the index of
+    rho p rho^-1 when t2 = s, 24 (new tetrahedron 1) when t2 != s and
+    -1 when unglued.  Tables order lexicographically, so only the starts
+    with the least first entry can give the minimum, and only they are
+    relabelled.
     """
     _, compose, inverse = _perm_tables()
-    best = None
+    firsts = []
     for start in range(n):
-        for start_perm in range(len(ALL_PERMS)):
-            out = _relabelling(table, n, start, start_perm, best, compose,
+        base = 4 * start
+        for rho, rho_inv in enumerate(inverse):
+            glued = table[base + ALL_PERMS[rho_inv][0]]
+            if glued < 0:
+                firsts.append(-1)
+            elif glued // 24 == start:
+                firsts.append(compose[rho][compose[glued % 24][rho_inv]])
+            else:
+                firsts.append(24)
+    if not firsts:
+        raise ValueError("empty triangulation")
+    least = min(firsts)
+    best = None
+    for i, first in enumerate(firsts):
+        if first == least:
+            out = _relabelling(table, n, i // 24, i % 24, best, compose,
                                inverse)
             if out is not None:
                 best = out
-    if best is None:
-        raise ValueError("empty triangulation")
     return best
 
 

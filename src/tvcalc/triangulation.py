@@ -270,14 +270,29 @@ class _UnionFind:
         return x, p
 
     def union(self, x: int, y: int, parity: int = 0) -> bool:
-        """Merge; False on a parity conflict."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == parity
-        self.parent[ry] = rx
-        self.parity[ry] = parity ^ px ^ py
-        self.trail.append(ry)
+        """Merge; False on a parity conflict.
+
+        Root y goes under root x with parity ``parity ^ px ^ py``, px and
+        py being x's and y's parities against their roots.  Both paths
+        are walked here, not through ``find``: this is the census' inner
+        loop.
+        """
+        parent, bits = self.parent, self.parity
+        up = parent[x]
+        while up != x:
+            parity ^= bits[x]
+            x = up
+            up = parent[x]
+        up = parent[y]
+        while up != y:
+            parity ^= bits[y]
+            y = up
+            up = parent[y]
+        if x == y:
+            return not parity
+        parent[y] = x
+        bits[y] = parity
+        self.trail.append(y)
         return True
 
     def undo(self, mark: int) -> None:
@@ -344,6 +359,11 @@ def build_skeleton(tri: Triangulation) -> Skeleton:
             if g is None:
                 continue
             t2, p = g
+            # each gluing is visited from its earlier face only: from the
+            # later one every union is a no-op, and a failed edge union
+            # would report an edge of a class already reported
+            if 4 * t2 + p[face] < 4 * t + face:
+                continue
             triangles.union(4 * t + face, 4 * t2 + p[face])
             for u in range(4):
                 if u != face:

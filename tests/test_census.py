@@ -1,5 +1,7 @@
 """The census search: its leaves, its leaf test, its canonical form, its
-output against the corpus and its call counts; the union-find's undo."""
+output against the corpus and its call counts; the union-find's union and
+undo, and the skeleton loop that shares it."""
+import functools
 import random
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvcalc import census
+from tvcalc import census, triangulation
 from tvcalc.census import canonical_form, enumerate_census
 from tvcalc.homology import betti_z2
 from tvcalc.triangulation import (
@@ -79,6 +81,25 @@ def _corpus():
     paths = sorted(CORPUS.glob("census_t*.tri"))
     assert len(paths) == 102
     return [parse_triangulation(path.read_text()) for path in paths]
+
+
+def _random_tables(count, seed):
+    """Random tables on 1..3 tetrahedra, each a random set of face pairs
+    glued by random maps: open, disconnected and edge-reversed ones."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        faces = [(t, f) for t in range(n) for f in range(4)]
+        rng.shuffle(faces)
+        glued = faces[:2 * rng.randint(0, 2 * n)]
+        rows = [[None] * 4 for _ in range(n)]
+        for (t, f), (t2, f2) in zip(glued[::2], glued[1::2]):
+            p = rng.choice([p for p in ALL_PERMS if p[f] == f2])
+            rows[t][f] = (t2, p)
+            rows[t2][f2] = (t, perm_invert(p))
+        tables.append(make_triangulation(rows))
+    return tables
 
 
 def _copied(classes):
@@ -215,6 +236,121 @@ def test_undo_restores_the_marked_state(ops):
         assert len(classes.trail) == len(fresh.trail)
 
 
+def _find_union(classes, x, y, parity=0):
+    """Reference: ``_UnionFind.union`` through two ``find`` calls."""
+    rx, px = classes.find(x)
+    ry, py = classes.find(y)
+    if rx == ry:
+        return (px ^ py) == parity
+    classes.parent[ry] = rx
+    classes.parity[ry] = parity ^ px ^ py
+    classes.trail.append(ry)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNDO_OPS)
+def test_union_matches_find_based_reference(ops):
+    classes, reference = _UnionFind(12), _UnionFind(12)
+    marks = []
+    for op in ops:
+        if op[0] == "union":
+            _, x, y, parity = op
+            assert classes.union(x, y, parity) == _find_union(
+                reference, x, y, parity)
+        elif op[0] == "mark":
+            marks.append(len(classes.trail))
+        elif marks:
+            mark = marks[op[1] % len(marks)]
+            classes.undo(mark)
+            reference.undo(mark)
+        assert (classes.parent, classes.parity, classes.trail) == (
+            reference.parent, reference.parity, reference.trail)
+
+
+def _two_sided_skeleton(tri):
+    """Reference: the unions of ``build_skeleton`` with every gluing
+    visited from both of its faces.  Returns (parent, parity) of the
+    vertex, edge and triangle union-finds and the reversed edge classes."""
+    n = tri.n
+    vertices = _UnionFind(4 * n)
+    edges = _UnionFind(6 * n)
+    triangles = _UnionFind(4 * n)
+    reversed_locals = []
+    for t, row in enumerate(tri.gluings):
+        for face, g in enumerate(row):
+            if g is None:
+                continue
+            t2, p = g
+            triangles.union(4 * t + face, 4 * t2 + p[face])
+            for u in range(4):
+                if u != face:
+                    vertices.union(4 * t + u, 4 * t2 + p[u])
+            for k, k2, flipped in FACE_EDGE_MAPS[face, p]:
+                if not edges.union(6 * t + k, 6 * t2 + k2, flipped):
+                    reversed_locals.append(6 * t + k)
+    eclass = edges.classes()[0]
+    return ([(classes.parent, classes.parity)
+             for classes in (vertices, edges, triangles)],
+            tuple(sorted({eclass[x] for x in reversed_locals})))
+
+
+def test_skeleton_matches_two_sided_reference(monkeypatch):
+    made = []
+
+    class Recorded(_UnionFind):
+        __slots__ = ()
+
+        def __init__(self, size):
+            super().__init__(size)
+            made.append(self)
+
+    monkeypatch.setattr(triangulation, "_UnionFind", Recorded)
+    rng = random.Random(5)
+    corpus = _corpus()
+    tables = (corpus + [_relabel(tri, rng) for tri in corpus]
+              + _random_tables(400, 6))
+    open_tables = reversed_tables = 0
+    for tri in tables:
+        made.clear()
+        skel = build_skeleton(tri)
+        states, reversed_edges = _two_sided_skeleton(tri)
+        assert [(classes.parent, classes.parity)
+                for classes in made] == states
+        assert skel.reversed_edges == reversed_edges
+        open_tables += not tri.is_closed()
+        reversed_tables += bool(reversed_edges)
+    assert open_tables >= 100 and reversed_tables >= 50
+
+
+@functools.cache
+def _leaf_tables():
+    return tuple(census._from_form(tuple(table))
+                 for n in (1, 2) for table, _, _ in census._leaves(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_entries_match_unpruned_reference(data):
+    # census leaves (n <= 2) and corpus tables, relabelled, some with
+    # gluings undone; tables the ungluing disconnects must be refused
+    tri = data.draw(st.sampled_from(_leaf_tables() + tuple(_corpus())))
+    rows = [list(row) for row in tri.gluings]
+    for slot in data.draw(st.sets(st.integers(0, 4 * tri.n - 1),
+                                  max_size=3)):
+        t, f = divmod(slot, 4)
+        if rows[t][f] is not None:
+            t2, p = rows[t][f]
+            rows[t][f] = rows[t2][p[f]] = None
+    tri = _relabel(make_triangulation(rows),
+                   random.Random(data.draw(st.integers(0, 2 ** 32))))
+    if _bfs_relabelling(tri, 0, ALL_PERMS[0]) is None:
+        with pytest.raises(ValueError, match="disconnected triangulation"):
+            canonical_form(tri)
+    else:
+        assert canonical_form(tri) == _reference_form(tri)
+
+
 def test_canonical_form_matches_reference_under_relabelling():
     rng = random.Random(11)
     for tri in _corpus():
@@ -233,8 +369,10 @@ def test_canonical_form_of_open_and_disconnected_tables():
     apart = parse_triangulation(
         "tri 1\ntet 0: 0:1023 0:1023 0:0132 0:0132\n"
         "tet 1: 1:1023 1:1023 1:0132 1:0132\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disconnected triangulation"):
         canonical_form(apart)
+    with pytest.raises(ValueError, match="empty triangulation"):
+        canonical_form(make_triangulation([]))
 
 
 @pytest.mark.parametrize("n, one_vertex, forms", [
