@@ -647,22 +647,6 @@ MAX_LEVEL = 128
 MAX_DIGITS = 10_000
 
 
-@lru_cache(maxsize=8)
-def _root_powers(r: int, count: int, dps: int) -> tuple:
-    """exp(i pi / r)^k for k < count, each the last times the root, at
-    ``dps`` working digits.
-
-    Eight entries hold the levels of a table pass; at MAX_DIGITS and
-    MAX_LEVEL one entry holds about 1.2 MB (README, CLI).
-    """
-    with mpmath.workdps(dps):
-        root = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi / r)
-        powers = [mpmath.mpc(1)]
-        for _ in range(count - 1):
-            powers.append(powers[-1] * root)
-    return tuple(powers)
-
-
 def numeric_eval(a: Cyc, digits: int = 15):
     """Evaluate at the principal root exp(i pi / r) as an mpmath complex.
 
@@ -670,11 +654,12 @@ def numeric_eval(a: Cyc, digits: int = 15):
     """
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    dps = digits + 10
-    powers = _root_powers(a.ctx.r, len(a.num), dps)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(digits + 10):
+        root = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi / a.ctx.r)
         total = mpmath.mpc(0)
-        for c, power in zip(a.num, powers):
+        power = mpmath.mpc(1)
+        for c in a.num:
             if c:
                 total += c * power
+            power *= root
         return total / a.den

@@ -103,9 +103,7 @@ def tv_odd_fast(source, r: int) -> Cyc:
     which is the weight of the zero colouring.  With one vertex the
     trivial class holds exactly the integer colourings, so the engine
     sums only the even colours at level r, at most floor(r/2) per edge
-    instead of r - 1.  The level-3 colourings are the Z/2 cocycles, 2^beta1
-    of them on one vertex, so with beta1 = 0 only the zero colouring is
-    left, the quotient is 1 and no level-3 sum runs.
+    instead of r - 1.
     """
     if r < 3 or r % 2 == 0:
         raise ValueError("the fast algorithm needs an odd level r >= 3")
@@ -115,11 +113,6 @@ def tv_odd_fast(source, r: int) -> Cyc:
             "the fast algorithm needs a one-vertex triangulation; "
             "retriangulate or use the plain state sum")
 
-    beta1 = _derived(skel, cocycle_space_1).beta1
-    trivial = tv_at_class(skel, r, 1, (0,) * beta1)
-    if beta1 == 0:
-        return trivial
-
     level3 = tv(skel, 3)
     assert level3.is_rational(), "level-3 weights are rational"
 
@@ -127,6 +120,9 @@ def tv_odd_fast(source, r: int) -> Cyc:
     # is 1, so its weight is the vertex factor alone
     zero_weight = vertex_weight(field_init(3, 1)) ** skel.v
     scale = level3.as_rational() / zero_weight.as_rational()
+
+    beta1 = _derived(skel, cocycle_space_1).beta1
+    trivial = tv_at_class(skel, r, 1, (0,) * beta1)
     return trivial * field_init(r, 1).from_rational(scale)
 
 

@@ -532,35 +532,6 @@ def test_numeric_eval_at_digits():
     assert abs(complex(val) - complex(want)) < 1e-25
 
 
-def _numeric_eval_per_call(a, digits):
-    """Reference: numeric_eval with the root and its powers computed
-    afresh on every call."""
-    with mpmath.workdps(digits + 10):
-        root = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi / a.ctx.r)
-        total = mpmath.mpc(0)
-        power = mpmath.mpc(1)
-        for c in a.num:
-            if c:
-                total += c * power
-            power *= root
-        return total / a.den
-
-
-def test_numeric_eval_matches_per_call_powers_bit_for_bit():
-    # the cached powers are the per-call ones, so every bit agrees; the
-    # second pass over the digits reads the cache
-    rng = random.Random(29)
-    for r in list(range(3, 41)) + [MAX_LEVEL]:
-        ctx = field_init(r, 1)
-        a = ctx.from_fractions([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                                for _ in range(ctx.degree)])
-        for digits in (1, 12, 60, 1, 12, 60):
-            got = numeric_eval(a, digits)
-            want = _numeric_eval_per_call(a, digits)
-            assert (got.real._mpf_, got.imag._mpf_) == (
-                want.real._mpf_, want.imag._mpf_), (r, digits)
-
-
 def test_division_by_zero_raises():
     ctx = field_init(5, 1)
     with pytest.raises(ZeroDivisionError):

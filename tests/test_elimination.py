@@ -17,10 +17,8 @@ from tvcalc import (
     build_skeleton,
     cocycle_space_1,
     enumerate_admissible,
-    fastalgo,
     pachner_23,
     sweep_sum,
-    tv,
 )
 from tvcalc.colourings import (
     _backtrack,
@@ -153,29 +151,6 @@ def test_odd_fast_at_size_matches_the_sweep_of_its_base(census2):
     want = sweep_sum(build_skeleton(base), found, 9, 1)
     for tri in _seed_walk(base, 7, (12, 14, 16)):
         assert tv_odd_fast(tri, 9) == want, tri.n
-
-
-def test_odd_fast_walks_no_level_3_when_beta1_is_zero(census2, monkeypatch):
-    # on one vertex the level-3 colourings are the Z/2 cocycles, so with
-    # beta1 = 0 only the zero colouring is left and the scale is 1: no
-    # level-3 sum runs.  A one-vertex input with beta1 = 1 still runs one.
-    walks = []
-
-    def counted(source, r, q=1):
-        walks.append(r)
-        return tv(source, r, q)
-
-    monkeypatch.setattr(fastalgo, "tv", counted)
-    for tri in _seed_walk(census2[1], 7, (3, 4, 5, 6)):
-        skel = build_skeleton(tri)
-        assert (skel.v, cocycle_space_1(skel).beta1) == (1, 0)
-        for r in (3, 5, 7):
-            assert tv_odd_fast(skel, r) == tv(skel, r, 1), (tri.n, r)
-    assert walks == []
-    skel = next(skel for skel in map(build_skeleton, census2)
-                if skel.v == 1 and cocycle_space_1(skel).beta1 == 1)
-    assert tv_odd_fast(skel, 5) == tv(skel, 5, 1)
-    assert walks == [3]
 
 
 def test_width_bound_holds_every_coefficient(census_skeletons):
