@@ -21,10 +21,8 @@ from .colourings import (
 from .cyclotomic import (
     Cyc,
     FieldContext,
-    bracket_factorial,
     field_init,
     numeric_eval,
-    quantum_integer,
 )
 from .fastalgo import (
     BoundReport,

@@ -497,7 +497,8 @@ def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
     half-sums both sum to the sum of the six colours, so the term is
     (-1)^z [z+1] times the quantum multinomial of z over the parts: a
     product of at most six quantum binomials, all integral
-    (``FieldContext.quantum_binomial``).  Terms with z + 1 >= r vanish.
+    (``FieldContext.multinomial_factors``).  Terms with z + 1 >= r
+    vanish.
 
     The terms are one ``FieldContext.packed_sum``, whose slot width
     comes from the l1 norms of the factors as stored.  The binomial
@@ -506,19 +507,10 @@ def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
     r = 47, and a width sized from C(n, k) gets (2, 2, 2, 2, 2, 0) wrong
     there.
     """
-    r = ctx.r
     terms = []
-    for z in range(max(tri_sums), min(min(quad_sums), r - 2) + 1):
-        parts = sorted([z - t for t in tri_sums]
-                       + [qd - z for qd in quad_sums])
-        factors = [ctx.quantum_integer(z + 1).num]
-        n = z
-        # the largest part is the n left after the others
-        for part in parts[:-1]:
-            if part:
-                factors.append(ctx.quantum_binomial(n, part).num)
-                n -= part
-        terms.append((z & 1, factors))
+    for z in range(max(tri_sums), min(min(quad_sums), ctx.r - 2) + 1):
+        parts = [z - t for t in tri_sums] + [qd - z for qd in quad_sums]
+        terms.append((z & 1, ctx.multinomial_factors(parts)))
     return Cyc(ctx, ctx.packed_sum(terms), 1, _normalised=True)
 
 

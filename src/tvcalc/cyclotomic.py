@@ -36,12 +36,14 @@ The quantum binomials [n k] = [n]! / ([k]! [n-k]!) for n <= r - 2 are
 integral, and the q-Pascal rule builds them with no division: each
 entry is two rotations by powers of zeta in Z[x]/(x^r + 1) and one
 reduction by Phi_2r.  The tetrahedron weight is an alternating sum of
-[z+1] times products of them (``colourings._tet_weight_sum``); its
+[n+1] times quantum multinomials, products of them
+(``FieldContext.multinomial_factors``, read by
+``colourings._tet_weight_sum`` and ``loopcoords.tet_weight_loop``); its
 terms are evaluated packed, at a slot width proven from the l1 norms of
 the binomials as stored here, which the reduction by Phi_2r can make
-larger than C(n, k).  The extended Euclidean algorithm in
-``Cyc.invert`` runs only for division or negative powers by field
-elements.
+larger than C(n, k).  No weight divides by a field element, so there
+is no general inverse: ``Cyc`` divides by integers and fractions only,
+and raises to powers k >= 0 only.
 """
 from __future__ import annotations
 
@@ -57,8 +59,6 @@ __all__ = [
     "FieldContext",
     "field_init",
     "Cyc",
-    "quantum_integer",
-    "bracket_factorial",
     "MAX_LEVEL",
     "MAX_DIGITS",
     "numeric_eval",
@@ -106,9 +106,8 @@ class FieldContext:
 
     Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
     root of unity.  Instances cache the reduced powers of x, the
-    quantum integers, their inverses, the bracket factorials and their
-    inverses and the quantum binomials they hand out; get one via
-    ``field_init``.
+    quantum integers, their inverses and the quantum binomials they
+    hand out; get one via ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -149,8 +148,6 @@ class FieldContext:
 
         self._qint: dict[int, Cyc] = {}
         self._inv_qint: dict[int, Cyc] = {}
-        self._fact: list = [self.one]
-        self._inv_fact: list = [self.one]
         # rows n = 0.. of quantum binomials, row n holding [n k] for
         # k = 0..n; [n k] and [n n-k] are one object
         self._binom: list = [[self.one]]
@@ -256,7 +253,7 @@ class FieldContext:
                         acc[i] += weight * c
         return acc
 
-    # -- quantum integers and bracket factorials ---------------------------
+    # -- quantum integers and binomials ------------------------------------
 
     def quantum_integer(self, i: int) -> "Cyc":
         """[i] = (zeta^i - zeta^-i) / (zeta - zeta^-1) for i > 0; [0] is 1
@@ -293,25 +290,6 @@ class FieldContext:
             self._inv_qint[k] = got
         return got
 
-    def bracket_factorial(self, i: int) -> "Cyc":
-        """[i]! = [i][i-1]...[1], with [0]! = 1; zero whenever i >= r."""
-        if i < 0:
-            raise ValueError("bracket factorials need i >= 0")
-        while len(self._fact) <= i:
-            k = len(self._fact)
-            self._fact.append(self._fact[-1] * self.quantum_integer(k))
-        return self._fact[i]
-
-    def inverse_bracket_factorial(self, i: int) -> "Cyc":
-        """1 / [i]!, defined for 0 <= i < r."""
-        if not (0 <= i < self.r):
-            raise ValueError(f"[{i}]! is zero or undefined, cannot invert")
-        while len(self._inv_fact) <= i:
-            k = len(self._inv_fact)
-            self._inv_fact.append(
-                self._inv_fact[-1] * self.inverse_quantum_integer(k))
-        return self._inv_fact[i]
-
     def quantum_binomial(self, n: int, k: int) -> "Cyc":
         """[n k] = [n]! / ([k]! [n-k]!), for 0 <= k <= n <= r - 2.
 
@@ -338,6 +316,21 @@ class FieldContext:
                     self, self.reduce_negacyclic(conv), 1, _normalised=True)
             rows.append(row)
         return rows[n][k]
+
+    def multinomial_factors(self, parts) -> list:
+        """The factors of [n+1] times the quantum multinomial of
+        n = sum(parts) over ``parts``, n <= r - 2, as the coefficient
+        vectors of one ``packed_sum`` term: [n+1], then [n k] for each
+        nonzero part k but the largest, n falling by k after each."""
+        parts = sorted(parts)
+        n = sum(parts)
+        factors = [self.quantum_integer(n + 1).num]
+        # the largest part is the n left after the others
+        for part in parts[:-1]:
+            if part:
+                factors.append(self.quantum_binomial(n, part).num)
+                n -= part
+        return factors
 
     def _add_rotated(self, conv: list, coeffs, k: int) -> None:
         """Add ``coeffs`` times zeta^k into the r slots ``conv`` of
@@ -511,13 +504,17 @@ class Cyc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Division by an ``int`` or ``Fraction`` only: no weight divides
+        by a field element, and 1/[k] has a closed form
+        (``FieldContext.inverse_quantum_integer``)."""
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        return self * other.invert()
+        return NotImplemented
 
     def __pow__(self, k: int):
+        """Powers with k >= 0 only; a field element has no inverse here."""
         if k < 0:
-            return self.invert() ** (-k)
+            raise ValueError(f"powers need k >= 0, got {k}")
         result = self.ctx.one
         base = self
         while k:
@@ -526,44 +523,6 @@ class Cyc:
             base = base * base
             k >>= 1
         return result
-
-    def invert(self) -> "Cyc":
-        """Multiplicative inverse by the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert zero")
-        mod = [Fraction(c) for c in self.ctx.modulus]
-        a = [Fraction(c, self.den) for c in self.num]
-        # extended gcd of a and the minimal polynomial over Q
-        r0, r1 = mod, a + [Fraction(0)] * (len(mod) - len(a))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def degree(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while degree(r1) > 0:
-            d0, d1 = degree(r0), degree(r1)
-            if d0 < d1:
-                r0, r1 = r1, r0
-                s0, s1 = s1, s0
-                continue
-            factor = r0[d0] / r1[d1]
-            shift = d0 - d1
-            r0 = [c - factor * (r1[i - shift] if 0 <= i - shift else 0)
-                  for i, c in enumerate(r0)]
-            s1_shifted = [Fraction(0)] * shift + s1
-            s0 = s0 + [Fraction(0)] * (len(s1_shifted) - len(s0))
-            s0 = [c - factor * (s1_shifted[i] if i < len(s1_shifted) else 0)
-                  for i, c in enumerate(s0)]
-        if degree(r1) != 0:
-            raise ZeroDivisionError("element is a zero divisor")
-        unit = r1[0]
-        inv = [c / unit for c in s1]
-        inv = inv[:self.ctx.degree]
-        inv += [Fraction(0)] * (self.ctx.degree - len(inv))
-        return self.ctx.from_fractions(inv)
 
     def galois(self, s: int, ctx: FieldContext) -> "Cyc":
         """The image under the automorphism x -> x^s, as an element of
@@ -627,14 +586,6 @@ class Cyc:
     @classmethod
     def from_strings(cls, ctx: FieldContext, strings) -> "Cyc":
         return ctx.from_fractions([Fraction(s) for s in strings])
-
-
-def quantum_integer(ctx: FieldContext, i: int) -> Cyc:
-    return ctx.quantum_integer(i)
-
-
-def bracket_factorial(ctx: FieldContext, i: int) -> Cyc:
-    return ctx.bracket_factorial(i)
 
 
 # the largest level r of a field context, and so of every command: the

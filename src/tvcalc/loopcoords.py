@@ -8,9 +8,11 @@ three columns as (i, j, i+j) up to rotation.  The split is read off in
 closed form: the row differences give the vertex counts up to a common
 shift d, and the column of row 1 that holds the largest remainder is
 the sum column, which fixes d.  The symbol's tables all derive from
-`EDGE_VERTICES` and `FACE_EDGES`.  The weight of the tetrahedron has a
-short alternating-sum expression in these coordinates, cross-checked
-exactly against the edge-colour formula.
+`EDGE_VERTICES` and `FACE_EDGES`.  The weight of the tetrahedron is a
+short alternating sum in these coordinates whose terms are quantum
+integers times quantum multinomials, as in the edge-colour formula: one
+``FieldContext.packed_sum`` of integral factors, no factorial or
+inverse, cross-checked exactly against that formula.
 """
 
 from __future__ import annotations
@@ -220,26 +222,21 @@ def decompose_symbol(symbol: IntersectionSymbol) -> LoopDecomposition:
 def tet_weight_loop(ctx: FieldContext, dec: LoopDecomposition) -> Cyc:
     """Tetrahedron weight straight from loop coordinates.
 
-    An alternating sum over z up to the smallest vertex-loop count.
-    Agrees exactly with the edge-colour formula on the six colours of
-    symbol_of(dec).
+    With m = pi + pj + (the sum of the vertex-loop counts v), the
+    smallest quad half-sum of the symbol, term z, for z up to the
+    smallest v, is (-1)^(z+m) [m-z+1] times the quantum multinomial of
+    m - z over the seven parts v - z, pi + z, pj + z and z; terms with
+    m - z + 1 >= r vanish.  One ``FieldContext.packed_sum``, integral
+    like the edge-colour formula it agrees with exactly on the six
+    colours of symbol_of(dec).
     """
     pi, pj = dec.p * dec.i, dec.p * dec.j
-    # Smallest quad half-sum of the symbol; its parity fixes the sign.
-    min_quad = pi + pj + sum(dec.vertex_counts)
-    y = min(dec.vertex_counts)
-    total = ctx.zero
-    for z in range(y + 1):
-        if min_quad - z + 1 >= ctx.r:
-            continue  # zero numerator
-        term = ctx.bracket_factorial(min_quad - z + 1)
-        for v in dec.vertex_counts:
-            term = term * ctx.inverse_bracket_factorial(v - z)
-        term = term * ctx.inverse_bracket_factorial(pi + z)
-        term = term * ctx.inverse_bracket_factorial(pj + z)
-        term = term * ctx.inverse_bracket_factorial(z)
-        total = total - term if z & 1 else total + term
-    return -total if min_quad & 1 else total
+    m = pi + pj + sum(dec.vertex_counts)
+    terms = []
+    for z in range(max(0, m + 2 - ctx.r), min(dec.vertex_counts) + 1):
+        parts = [v - z for v in dec.vertex_counts] + [pi + z, pj + z, z]
+        terms.append(((z + m) & 1, ctx.multinomial_factors(parts)))
+    return Cyc(ctx, ctx.packed_sum(terms), 1, _normalised=True)
 
 
 def iter_admissible_symbols(max_entry: int, r: int | None = None):

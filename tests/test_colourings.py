@@ -28,8 +28,8 @@ from tvcalc import (
     tv_at_class,
 )
 from tvcalc.colourings import WeightSystem, _backtrack, _cache, \
-    _elimination_walk, _search_plan, _third_colours, edge_weight, \
-    triangle_weight, vertex_weight
+    _search_plan, _third_colours, edge_weight, triangle_weight, \
+    vertex_weight
 from tvcalc.cyclotomic import MAX_LEVEL, Cyc, FieldContext
 from tvcalc.fastalgo import adm4_structured
 from tvcalc.loopcoords import IntersectionSymbol, decompose_symbol, \
@@ -358,13 +358,13 @@ def test_triangle_weight_zero_is_one():
     assert triangle_weight(ctx, 0, 0, 0) == ctx.one
 
 
-def test_triangle_weight_formula_spot():
+def test_triangle_weight_formula_spot(factorials):
     # (1,1,2): half-sum 2, parts (1,1,0) -> +[0]![1]![1]! / [3]!
     ctx = field_init(6, 1)
-    assert triangle_weight(ctx, 1, 1, 2) == ctx.inverse_bracket_factorial(3)
+    fact, inv_fact = factorials(ctx)
+    assert triangle_weight(ctx, 1, 1, 2) == inv_fact[3]
     # (1,1,0): half-sum 1, sign (-1)^1, parts (0,0,1) -> -[1]!/[2]!
-    want = -(ctx.bracket_factorial(1) * ctx.inverse_bracket_factorial(2))
-    assert triangle_weight(ctx, 1, 1, 0) == want
+    assert triangle_weight(ctx, 1, 1, 0) == -(fact[1] * inv_fact[2])
 
 
 def test_triangle_weight_symmetric():
@@ -377,19 +377,15 @@ def test_triangle_weight_symmetric():
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 9, 12, 16, 23, 31, 36,
                                47])
-def test_triangle_weights_match_factorial_oracle(r, census1):
+def test_triangle_weights_match_factorial_oracle(r, factorials):
     # every admissible sorted triple, bit for bit, against
     # (-1)^h [h-a]! [h-b]! [h-c]! / [h+1]! with h the half-sum, from
-    # factorials built here by plain products (pairs shared).  The
+    # factorials built by plain products (pairs shared).  The
     # recurrence reads its neighbour (a, b, c - 2) from the pool, so the
     # first pass starts from a fresh context and the second runs in
-    # reverse order over the warm pool.  Neither the weights nor an
-    # engine run extend the context's factorial tables
+    # reverse order over the warm pool
     ctx = FieldContext(r, 1)
-    fact, inv_fact = [ctx.one], [ctx.one]
-    for k in range(1, r):
-        fact.append(fact[-1] * ctx.quantum_integer(k))
-        inv_fact.append(inv_fact[-1] * ctx.inverse_quantum_integer(k))
+    fact, inv_fact = factorials(ctx)
     triples = [(a, b, c) for a in range(r - 1) for b in range(a, r - 1)
                for c in range(b, r - 1) if _oracle_triple(r, a, b, c)]
     heads, tails, want = {}, {}, {}
@@ -412,11 +408,6 @@ def test_triangle_weights_match_factorial_oracle(r, census1):
             got = triangle_weight(ctx, *key)
             assert (got.num, got.den) == want[key], key
     assert len(_cache(ctx)["triangle"]) == len(triples)
-    for tri in census1:
-        skel = build_skeleton(tri)
-        if skel.v == 1:
-            _elimination_walk(skel, ctx)
-    assert ctx._fact == [ctx.one] and ctx._inv_fact == [ctx.one]
 
 
 def test_tetrahedron_weight_zero_colouring():
@@ -489,7 +480,7 @@ def _admissible_tet_colours(r, rng, count):
 
 
 @pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 31, 36, 47])
-def test_cached_tet_weights_match_uncached_oracle(r):
+def test_cached_tet_weights_match_uncached_oracle(r, factorials):
     # prime, odd composite and even levels (the inverse factorials have
     # denominators at composite r), at degrees from 4 to 46.
     # The samples hold every admissible colouring with colours <= 2: a
@@ -507,10 +498,7 @@ def test_cached_tet_weights_match_uncached_oracle(r):
                     for face in _ORACLE_FACES)]
     assert (2, 2, 2, 2, 2, 0) in samples
     ctx = FieldContext(r, 1)
-    fact, inv_fact = [ctx.one], [ctx.one]
-    for k in range(1, r):
-        fact.append(fact[-1] * ctx.quantum_integer(k))
-        inv_fact.append(inv_fact[-1] * ctx.inverse_quantum_integer(k))
+    fact, inv_fact = factorials(ctx)
     want = []
     for colours in samples:
         value = _oracle_tet_weight(ctx, colours, fact, inv_fact)
@@ -527,7 +515,6 @@ def test_cached_tet_weights_match_uncached_oracle(r):
                     ctx, _relabelled(colours, rng.choice(ALL_PERMS)))
             # rows up to the largest z met, at most r - 1 of them
             assert 2 < len(ctx._binom) <= r - 1
-            assert ctx._inv_fact == [ctx.one]
         for colours, (num, den) in zip(samples, want):
             got = tetrahedron_weight(ctx, colours)
             assert (got.num, got.den) == (num, den), colours
@@ -555,10 +542,10 @@ def _gaussian_binomial(n, k):
     return rows[n][k]
 
 
-def test_weight_caches_stay_bounded(census1, census2):
+def test_weight_caches_stay_bounded(census1, census2, factorials):
     # after a one-tetrahedron invariant at r = 23 the context keeps its
-    # quantum integer and factorial tables and the quantum binomials,
-    # and nothing packed.
+    # quantum integer tables and the quantum binomials, and nothing
+    # packed.
     # Each binomial [n k] equals, bit for bit, zeta^(-k(n-k)) times the
     # Gaussian binomial in zeta^2 read off the power table; [n k] and
     # [n n-k] are one object; rows stop at n = r - 2
@@ -568,8 +555,7 @@ def test_weight_caches_stay_bounded(census1, census2):
     ctx = value.ctx
     assert set(vars(ctx)) == {
         "r", "q", "order", "modulus", "degree", "_mod_terms", "_xpow",
-        "zero", "one", "zeta", "_qint", "_inv_qint", "_fact", "_inv_fact",
-        "_binom"}
+        "zero", "one", "zeta", "_qint", "_inv_qint", "_binom"}
     assert 2 < len(ctx._binom) <= r - 1
     for n, row in enumerate(ctx._binom):
         assert len(row) == n + 1
@@ -580,13 +566,13 @@ def test_weight_caches_stay_bounded(census1, census2):
                 want = want + ctx.zeta_power(2 * j - k * (n - k)) * c
             assert (entry.num, entry.den) == (want.num, want.den)
     # a product with a factorial operand keeps no value
-    factorial = ctx.bracket_factorial(r - 2)
-    tables = [dict(ctx._qint), dict(ctx._inv_qint), list(ctx._fact),
-              list(ctx._inv_fact), [list(row) for row in ctx._binom]]
+    factorial = factorials(ctx)[0][r - 2]
+    tables = [dict(ctx._qint), dict(ctx._inv_qint),
+              [list(row) for row in ctx._binom]]
     dense = Cyc(ctx, tuple(range(1, ctx.degree + 1)))
     assert (dense * dense) * factorial != ctx.zero
-    assert [dict(ctx._qint), dict(ctx._inv_qint), list(ctx._fact),
-            list(ctx._inv_fact), [list(row) for row in ctx._binom]] == tables
+    assert [dict(ctx._qint), dict(ctx._inv_qint),
+            [list(row) for row in ctx._binom]] == tables
 
     # the documented pools only: edge weights are the context's quantum
     # integers and "tet_raw" keeps the one key tuple per six colours

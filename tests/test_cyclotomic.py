@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tvcalc import field_init, numeric_eval
 from tvcalc.cyclotomic import MAX_LEVEL, Cyc, FieldContext, \
-    bracket_factorial, cyclotomic_polynomial, quantum_integer
+    cyclotomic_polynomial
 
 LEVELS = [(3, 1), (4, 1), (5, 1), (5, 3), (7, 2), (8, 3), (9, 5), (12, 5),
           (16, 3)]
@@ -102,43 +102,20 @@ def test_quantum_integer_numeric():
             assert abs(got - want) < 1e-12
 
 
-def test_bracket_factorial_recurrence():
-    for r, q in LEVELS[:4]:
-        ctx = field_init(r, q)
-        assert ctx.bracket_factorial(0) == ctx.one
-        for i in range(1, r + 2):
-            assert ctx.bracket_factorial(i) == \
-                ctx.bracket_factorial(i - 1) * ctx.quantum_integer(i)
-        assert ctx.bracket_factorial(r).is_zero()
-        assert ctx.bracket_factorial(r + 1).is_zero()
-
-
-def test_inverse_bracket_factorial():
-    for r, q in LEVELS:
-        ctx = field_init(r, q)
-        for i in range(r):
-            prod = ctx.bracket_factorial(i) * ctx.inverse_bracket_factorial(i)
-            assert prod == ctx.one
-        with pytest.raises(ValueError):
-            ctx.inverse_bracket_factorial(r)
-        with pytest.raises(ValueError):
-            ctx.inverse_bracket_factorial(-1)
-
-
 @pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 36])
-def test_quantum_binomials_times_factorials(r):
+def test_quantum_binomials_times_factorials(r, factorials):
     # [n k] [k]! [n-k]! = [n]! for 0 <= k <= n <= r - 2, with [n k]
     # built by the q-Pascal rule alone; at zeta = x, at its conjugate
     # and, at odd r, at the base r + 1 of even q
     for q in (1, 2 * r - 1) + ((r + 1,) if r % 2 else ()):
         ctx = FieldContext(r, q)
+        fact, _ = factorials(ctx)
         for n in range(r - 1):
             for k in range(n + 1):
                 binomial = ctx.quantum_binomial(n, k)
                 assert binomial.den == 1
-                assert binomial * ctx.bracket_factorial(k) \
-                    * ctx.bracket_factorial(n - k) \
-                    == ctx.bracket_factorial(n), (q, n, k)
+                assert binomial * fact[k] * fact[n - k] == fact[n], \
+                    (q, n, k)
         for n, k in ((r - 1, 0), (3, 4), (3, -1)):
             with pytest.raises(ValueError):
                 ctx.quantum_binomial(n, k)
@@ -158,26 +135,30 @@ def test_quantum_integer_closed_forms():
                 * ctx.inverse_quantum_integer(k) == ctx.one
 
 
-def test_inverse_bracket_factorial_matches_euclid():
-    # Cyc.invert is the oracle; composite r (6, 9, 10, 12) has [k] with
-    # gcd(k, r) > 1, where zeta^2k is not a primitive r-th root
-    for r, q in _levels(13, 13):
-        ctx = field_init(r, q)
-        for i in range(r):
-            assert ctx.inverse_bracket_factorial(i) == \
-                ctx.bracket_factorial(i).invert()
-
-
-def test_field_set_up_needs_no_euclid(monkeypatch):
-    def refuse(self):
-        raise AssertionError("Cyc.invert called")
-    monkeypatch.setattr(Cyc, "invert", refuse)
+def test_field_set_up_needs_no_euclid(factorials):
+    # the field layer has no general inverse: 1/[k] is closed-form,
+    # and division is by integers and fractions only
+    assert not hasattr(Cyc, "invert")
     for r, q in [(31, 1), (12, 5), (39, 2), (40, 3)]:
         ctx = FieldContext(r, q)    # not field_init: its caches start empty
-        assert ctx.inverse_bracket_factorial(r - 1) \
-            * ctx.bracket_factorial(r - 1) == ctx.one
+        fact, inv_fact = factorials(ctx)
+        assert inv_fact[r - 1] * fact[r - 1] == ctx.one
         assert (ctx.zeta / (2 * r)) * (2 * r) == ctx.zeta
         assert (ctx.zeta / Fraction(-2, 7)) * Fraction(-2, 7) == ctx.zeta
+
+
+def test_no_division_by_field_elements_or_negative_powers():
+    # both fail at once: a negative k would never end the square and
+    # multiply loop of __pow__, as -1 >> 1 == -1
+    ctx = field_init(7, 3)
+    for k in (-1, -2, -15):
+        with pytest.raises(ValueError):
+            ctx.zeta ** k
+    for divisor in (ctx.zeta, ctx.quantum_integer(2), ctx.zero):
+        with pytest.raises(TypeError):
+            ctx.one / divisor
+    with pytest.raises(TypeError):
+        1 / ctx.zeta
 
 
 def test_inverse_quantum_integer_range():
@@ -185,12 +166,6 @@ def test_inverse_quantum_integer_range():
     for k in (0, 6):
         with pytest.raises(ValueError):
             ctx.inverse_quantum_integer(k)
-
-
-def test_module_level_wrappers():
-    ctx = field_init(5, 1)
-    assert quantum_integer(ctx, 2) == ctx.quantum_integer(2)
-    assert bracket_factorial(ctx, 3) == ctx.bracket_factorial(3)
 
 
 def _random_element(ctx, data, numerators=st.integers(-9, 9)):
@@ -216,9 +191,6 @@ def test_field_axioms(data):
     assert a + ctx.zero == a
     assert a * ctx.one == a
     assert (a - a).is_zero()
-    if not a.is_zero():
-        assert a * a.invert() == ctx.one
-        assert (a / a) == ctx.one
     assert (a / 3) * 3 == a
     assert a / Fraction(-2, 5) == a * Fraction(-5, 2)
 
@@ -363,10 +335,11 @@ def test_packed_products_match_reference_chains(r):
 
 
 @pytest.mark.parametrize("r", [17, 36, 40])
-def test_products_by_packed_factorials(r):
-    # a factorial-table entry as the right operand of a product; prime
-    # and even levels, with left operands of several sizes
+def test_products_by_packed_factorials(r, factorials):
+    # a factorial or inverse factorial as the right operand of a
+    # product; prime and even levels, with left operands of several sizes
     ctx = FieldContext(r, 1)
+    fact, inv_fact = factorials(ctx)
     rng = random.Random(r)
     for _ in range(10):
         bits = rng.randint(1, 90)
@@ -374,8 +347,7 @@ def test_products_by_packed_factorials(r):
                                          rng.randint(1, 9))
                                 for _ in range(ctx.degree)])
         for i in (rng.randrange(r), rng.randrange(r)):
-            for f in (ctx.bracket_factorial(i),
-                      ctx.inverse_bracket_factorial(i)):
+            for f in (fact[i], inv_fact[i]):
                 _assert_schoolbook(a, f)
                 _assert_schoolbook(a, f)
 
@@ -394,7 +366,7 @@ def test_products_reduce_by_a_modulus_with_other_coefficients():
         _assert_schoolbook(a, ctx.zeta)
 
 
-def test_cancelling_products_and_sums_come_back_normalised():
+def test_cancelling_products_and_sums_come_back_normalised(factorials):
     # an integral product or sum skips the gcd pass; one whose
     # denominators cancel must still come back in lowest terms:
     # [k] * 1/[k] is 1 over 1 at composite levels too, where 1/[k] has a
@@ -413,9 +385,9 @@ def test_cancelling_products_and_sums_come_back_normalised():
             for got in (qint * inv, inv * qint, inv + (ctx.one - inv),
                         (ctx.one - inv) + inv):
                 assert (got.num, got.den) == one, (r, k)
+        fact, inv_fact = factorials(ctx)
         values = [ctx.inverse_quantum_integer(k) for k in range(1, r)]
-        values += [ctx.inverse_bracket_factorial(i) for i in range(r)]
-        values += [ctx.bracket_factorial(i) for i in range(r)]
+        values += inv_fact + fact
         for _ in range(60):
             a, b = rng.choice(values), rng.choice(values)
             for got in (a * b, a + b, a - b):
@@ -534,10 +506,6 @@ def test_numeric_eval_at_digits():
 
 def test_division_by_zero_raises():
     ctx = field_init(5, 1)
-    with pytest.raises(ZeroDivisionError):
-        ctx.one / ctx.zero
-    with pytest.raises(ZeroDivisionError):
-        ctx.zero.invert()
     with pytest.raises(ZeroDivisionError):
         ctx.one / 0
     with pytest.raises(ZeroDivisionError):

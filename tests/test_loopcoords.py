@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,18 +176,44 @@ def test_weight_equivalence_spot():
                 ctx, sym.doubled_colours())
 
 
-def test_single_term_form_matches_general_sum():
+@pytest.mark.parametrize("r", [9, 13, 23, 31, 47])
+def test_weight_equivalence_at_large_levels(r):
+    # seeded symbols plus every symbol with entries <= 2, among them
+    # (2, 2, 2, 2, 2, 0), whose weight a slot width sized from the
+    # binomial coefficients C(n, k) gets wrong at r = 31 and 47; the
+    # loop weight is integral, like the edge-colour one
+    symbols = list(iter_admissible_symbols(2, r=r))
+    assert (2, 2, 2, 2, 2, 0) in {s.doubled_colours() for s in symbols}
+    rng = random.Random(r)
+    wanted = len(symbols) + 40
+    while len(symbols) < wanted:
+        flat = [rng.randrange(r - 1) for _ in range(6)]
+        try:
+            sym = IntersectionSymbol((flat[:3], flat[3:]))
+        except ValueError:
+            continue            # a face with odd sum or a broken inequality
+        if sym.admissible(r):
+            symbols.append(sym)
+    for q in (1, 2 * r - 1):
+        ctx = field_init(r, q)
+        for sym in symbols:
+            got = tet_weight_loop(ctx, decompose_symbol(sym))
+            want = tetrahedron_weight(ctx, sym.doubled_colours())
+            assert got.den == 1 and (got.num, got.den) == \
+                (want.num, want.den), (q, sym)
+
+
+def test_single_term_form_matches_general_sum(factorials):
     # with no vertex loops the sum collapses to its first term
     ctx = field_init(7, 1)
+    fact, inv_fact = factorials(ctx)
     for (i, j) in ((0, 1), (1, 1), (1, 2)):
         for p in (1, 2):
             if p * (i + j) > ctx.r - 2:
                 continue
             dec = LoopDecomposition(0, 0, 0, 0, p, i, j, 0)
             top = p * (i + j)
-            want = ctx.bracket_factorial(top + 1) \
-                * ctx.inverse_bracket_factorial(p * i) \
-                * ctx.inverse_bracket_factorial(p * j)
+            want = fact[top + 1] * inv_fact[p * i] * inv_fact[p * j]
             if top % 2:
                 want = -want
             assert tet_weight_loop(ctx, dec) == want
