@@ -39,11 +39,12 @@ list, at (r, q) directly; it is the engine's independent oracle.
 
 A tetrahedron weight is an alternating sum over z of [z+1] times a
 quantum multinomial, a product of quantum binomials that the field
-context keeps, and its terms are one ``FieldContext.packed_sum``
-(``_tet_weight_sum``).  A triangle weight is its neighbour times four
-quantum integers and their inverses (``_triangle_entry``), and the
-engine's local factor the tetrahedron weight times the new edge and
-triangle weights: each is one ``FieldContext.product``.
+context keeps packed, and its terms are one
+``FieldContext.multinomial_sum`` (``_tet_weight_sum``).  A triangle
+weight is its neighbour times four quantum integers and their inverses
+(``_triangle_entry``), and the engine's local factor the tetrahedron
+weight times the new edge and triangle weights: each is one
+``FieldContext.product``.
 
 Weights are cached per field context: triangle and tetrahedron
 weights (an edge weight is a quantum integer, which the context keeps),
@@ -496,22 +497,21 @@ def _tet_weight_sum(ctx: FieldContext, tri_sums, quad_sums) -> Cyc:
     parts z - t and Q - z sum to z, as the triangle and the quad
     half-sums both sum to the sum of the six colours, so the term is
     (-1)^z [z+1] times the quantum multinomial of z over the parts: a
-    product of at most six quantum binomials, all integral
-    (``FieldContext.multinomial_factors``).  Terms with z + 1 >= r
-    vanish.
+    product of at most six quantum binomials, all integral.  Terms with
+    z + 1 >= r vanish.
 
-    The terms are one ``FieldContext.packed_sum``, whose slot width
-    comes from the l1 norms of the factors as stored.  The binomial
-    coefficients C(n, k), the l1 norms before the reduction by Phi_2r,
-    do not bound the sum: [2 1] = zeta + 1/zeta has l1 norm 45 at
-    r = 47, and a width sized from C(n, k) gets (2, 2, 2, 2, 2, 0) wrong
-    there.
+    The terms are one ``FieldContext.multinomial_sum`` over the
+    context's packed table, whose slot width comes from the l1 norms
+    of the binomials as stored.  The binomial coefficients C(n, k), the
+    l1 norms before the reduction by Phi_2r, do not bound the sum:
+    [2 1] = zeta + 1/zeta has l1 norm 45 at r = 47, and a width sized
+    from C(n, k) gets (2, 2, 2, 2, 2, 0) wrong there.
     """
     terms = []
     for z in range(max(tri_sums), min(min(quad_sums), ctx.r - 2) + 1):
         parts = [z - t for t in tri_sums] + [qd - z for qd in quad_sums]
-        terms.append((z & 1, ctx.multinomial_factors(parts)))
-    return Cyc(ctx, ctx.packed_sum(terms), 1, _normalised=True)
+        terms.append((z & 1, parts))
+    return ctx.multinomial_sum(terms)
 
 
 class WeightSystem:

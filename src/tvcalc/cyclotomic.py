@@ -29,21 +29,24 @@ folded after every multiply (``negacyclic_fold``), read back
 |f g|_inf <= |f|_1 |g|_1, no coefficient of the sum exceeds the sum
 over its terms of the products of the factors' l1 norms, and w is
 ``slot_width`` of that bound.  ``FieldContext.product`` is one such
-term over the product of the denominators.  The state-sum engine keeps
-its table values in the same packed form.
+term over the product of the denominators, and the only caller of
+``packed_sum``.  The state-sum engine keeps its table values in the
+same packed form.
 
 The quantum binomials [n k] = [n]! / ([k]! [n-k]!) for n <= r - 2 are
 integral, and the q-Pascal rule builds them with no division: each
 entry is two rotations by powers of zeta in Z[x]/(x^r + 1) and one
 reduction by Phi_2r.  The tetrahedron weight is an alternating sum of
-[n+1] times quantum multinomials, products of them
-(``FieldContext.multinomial_factors``, read by
-``colourings._tet_weight_sum`` and ``loopcoords.tet_weight_loop``); its
-terms are evaluated packed, at a slot width proven from the l1 norms of
-the binomials as stored here, which the reduction by Phi_2r can make
-larger than C(n, k).  No weight divides by a field element, so there
-is no general inverse: ``Cyc`` divides by integers and fractions only,
-and raises to powers k >= 0 only.
+[n+1] times quantum multinomials, products of at most six binomials,
+one term per n (``colourings._tet_weight_sum`` and
+``loopcoords.tet_weight_loop``).  A context packs [n+1] and [n k] once,
+at one slot width W proven from the l1 norms of all of them as stored,
+which the reduction by Phi_2r can make larger than C(n, k); it drops
+their vectors, and ``FieldContext.multinomial_sum`` multiplies out
+every such sum from that table (``FieldContext._packed_table``).  No
+weight divides by a field element, so there is no general inverse:
+``Cyc`` divides by integers and fractions only, and raises to powers
+k >= 0 only.
 """
 from __future__ import annotations
 
@@ -106,8 +109,10 @@ class FieldContext:
 
     Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
     root of unity.  Instances cache the reduced powers of x, the
-    quantum integers, their inverses and the quantum binomials they
-    hand out; get one via ``field_init``.
+    quantum integers and their inverses they hand out, and, from the
+    first tetrahedron sum on, one packed table of [n+1] and [n k] for
+    n <= r - 2 at one slot width (``_packed_table``); get one via
+    ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -148,9 +153,9 @@ class FieldContext:
 
         self._qint: dict[int, Cyc] = {}
         self._inv_qint: dict[int, Cyc] = {}
-        # rows n = 0.. of quantum binomials, row n holding [n k] for
-        # k = 0..n; [n k] and [n n-k] are one object
-        self._binom: list = [[self.one]]
+        # (width, heads, rows): [n+1] and [n k], k <= n/2, for
+        # n <= r - 2, packed once at one width (``_packed_table``)
+        self._packed = None
 
     def _reduce_shift(self, coeffs: list) -> list:
         """Multiply by x and reduce modulo the (monic) minimal polynomial."""
@@ -291,46 +296,91 @@ class FieldContext:
         return got
 
     def quantum_binomial(self, n: int, k: int) -> "Cyc":
-        """[n k] = [n]! / ([k]! [n-k]!), for 0 <= k <= n <= r - 2.
-
-        Integral, with denominator 1: built row by row by the q-Pascal
-        rule [n k] = zeta^k [n-1 k] + zeta^(k-n) [n-1 k-1], whose two
-        shifts by powers of zeta are rotations in Z[x]/(x^r + 1) before
-        one reduction by Phi_2r.  [n k] = [n n-k], so a row computes
-        its first half and shares it with the second: at most
-        (r - 1)^2 / 2 entries per context.
-        """
+        """[n k] = [n]! / ([k]! [n-k]!), for 0 <= k <= n <= r - 2,
+        read back from the packed table (``_packed_table``).  Integral,
+        with denominator 1, and [n k] = [n n-k]."""
         if not (0 <= k <= n <= self.r - 2):
             raise ValueError(
                 f"[n k] needs 0 <= k <= n <= r - 2, got ({n}, {k})")
-        rows = self._binom
-        while len(rows) <= n:
-            m = len(rows)
-            prev = rows[-1]
-            row = [self.one] * (m + 1)
-            for j in range(1, m // 2 + 1):
-                conv = [0] * self.r
-                self._add_rotated(conv, prev[j].num, j)
-                self._add_rotated(conv, prev[j - 1].num, j - m)
-                row[j] = row[m - j] = Cyc(
-                    self, self.reduce_negacyclic(conv), 1, _normalised=True)
-            rows.append(row)
-        return rows[n][k]
+        width, _, rows = self._packed_table()
+        digits = negacyclic_unpack(rows[n][min(k, n - k)], self.r, width)
+        return Cyc(self, tuple(digits[:self.degree]), 1, _normalised=True)
 
-    def multinomial_factors(self, parts) -> list:
-        """The factors of [n+1] times the quantum multinomial of
-        n = sum(parts) over ``parts``, n <= r - 2, as the coefficient
-        vectors of one ``packed_sum`` term: [n+1], then [n k] for each
-        nonzero part k but the largest, n falling by k after each."""
-        parts = sorted(parts)
-        n = sum(parts)
-        factors = [self.quantum_integer(n + 1).num]
-        # the largest part is the n left after the others
-        for part in parts[:-1]:
-            if part:
-                factors.append(self.quantum_binomial(n, part).num)
-                n -= part
-        return factors
+    def _packed_table(self) -> tuple:
+        """(W, heads, rows): heads[n] = [n+1] and rows[n][k] = [n k]
+        for k <= n/2 and n <= r - 2, packed at x = 2^W and built on
+        first use.
+
+        The rows come from the q-Pascal rule
+        [n k] = zeta^k [n-1 k] + zeta^(k-n) [n-1 k-1], whose two shifts
+        by powers of zeta are rotations in Z[x]/(x^r + 1) before one
+        reduction by Phi_2r, with no division; their vectors are
+        dropped once packed.  W is proven for ``multinomial_sum``: its
+        terms have distinct n, and a term is [n+1] times at most six
+        binomials [n k1] [n-k1 k2] ..., so with B_0 = 1 and
+        B_j(n) = max(B_{j-1}(n), max_k |[n k]|_1 B_{j-1}(n-k)), no
+        coefficient of a sum exceeds sum_n |[n+1]|_1 B_6(n), and W is
+        ``slot_width`` of that bound.  The l1 norms are those of the
+        vectors reduced by Phi_2r, which can exceed C(n, k).
+        """
+        if self._packed is None:
+            r = self.r
+            one = self.one.num
+            rows = [[one]]
+            for m in range(1, r - 1):
+                prev = rows[-1]
+                row = [one]
+                for j in range(1, m // 2 + 1):
+                    conv = [0] * r
+                    self._add_rotated(conv, prev[min(j, m - 1 - j)], j)
+                    self._add_rotated(conv, prev[j - 1], j - m)
+                    row.append(self.reduce_negacyclic(conv))
+                rows.append(row)
+            heads = [self.quantum_integer(n + 1).num for n in range(r - 1)]
+            norms = [[sum(map(abs, vec)) for vec in row] for row in rows]
+            # B_j(n); k = 0 gives B_{j-1}(n), as [n 0] = 1
+            chain = [1] * (r - 1)
+            for _ in range(6):
+                chain = [max(norms[n][min(k, n - k)] * chain[n - k]
+                             for k in range(n + 1)) for n in range(r - 1)]
+            bound = sum(sum(map(abs, head)) * chain[n]
+                        for n, head in enumerate(heads))
+            width = slot_width(bound.bit_length())
+            self._packed = (
+                width, [negacyclic_pack(vec, width) for vec in heads],
+                [[negacyclic_pack(vec, width) for vec in row]
+                 for row in rows])
+        return self._packed
+
+    def multinomial_sum(self, terms) -> "Cyc":
+        """The signed sum over ``terms``, pairs (negative, parts) of a
+        flag and at most seven non-negative integers with
+        n = sum(parts) <= r - 2, of [n+1] times the quantum multinomial
+        of n over the parts.  No two terms may share n, as the slot
+        width is proven for one term per n; the terms of a tetrahedron
+        sum have n = z, or m - z in loop coordinates.
+
+        A term is [n+1] times [n k] for each nonzero part k but the
+        largest, n falling by k after each: at most six binomials, each
+        with k <= n/2.  Its factors are read from the packed table
+        (``_packed_table``), each product is folded as soon as it is
+        made, and the sum is read back and reduced by Phi_2r once.
+        """
+        width, heads, rows = self._packed_table()
+        shift = self.r * width
+        total = 0
+        for negative, parts in terms:
+            parts = sorted(parts)
+            n = sum(parts)
+            value = heads[n]
+            # the largest part is the n left after the others
+            for part in parts[:-1]:
+                if part:
+                    value = negacyclic_fold(value * rows[n][part], shift)
+                    n -= part
+            total = total - value if negative else total + value
+        return Cyc(self, self.reduce_negacyclic(
+            negacyclic_unpack(total, self.r, width)), 1, _normalised=True)
 
     def _add_rotated(self, conv: list, coeffs, k: int) -> None:
         """Add ``coeffs`` times zeta^k into the r slots ``conv`` of
@@ -609,8 +659,9 @@ def numeric_eval(a: Cyc, digits: int = 15):
         root = mpmath.exp(mpmath.mpc(0, 1) * mpmath.pi / a.ctx.r)
         total = mpmath.mpc(0)
         power = mpmath.mpc(1)
-        for c in a.num:
+        for k, c in enumerate(a.num):
+            if k:
+                power *= root
             if c:
                 total += c * power
-            power *= root
         return total / a.den

@@ -11,8 +11,8 @@ the sum column, which fixes d.  The symbol's tables all derive from
 `EDGE_VERTICES` and `FACE_EDGES`.  The weight of the tetrahedron is a
 short alternating sum in these coordinates whose terms are quantum
 integers times quantum multinomials, as in the edge-colour formula: one
-``FieldContext.packed_sum`` of integral factors, no factorial or
-inverse, cross-checked exactly against that formula.
+``FieldContext.multinomial_sum`` over the context's packed table, no
+factorial or inverse, cross-checked exactly against that formula.
 """
 
 from __future__ import annotations
@@ -226,17 +226,17 @@ def tet_weight_loop(ctx: FieldContext, dec: LoopDecomposition) -> Cyc:
     smallest quad half-sum of the symbol, term z, for z up to the
     smallest v, is (-1)^(z+m) [m-z+1] times the quantum multinomial of
     m - z over the seven parts v - z, pi + z, pj + z and z; terms with
-    m - z + 1 >= r vanish.  One ``FieldContext.packed_sum``, integral
-    like the edge-colour formula it agrees with exactly on the six
-    colours of symbol_of(dec).
+    m - z + 1 >= r vanish.  One ``FieldContext.multinomial_sum`` over
+    the context's packed table, as in the edge-colour formula, which it
+    agrees with exactly on the six colours of symbol_of(dec).
     """
     pi, pj = dec.p * dec.i, dec.p * dec.j
     m = pi + pj + sum(dec.vertex_counts)
     terms = []
     for z in range(max(0, m + 2 - ctx.r), min(dec.vertex_counts) + 1):
         parts = [v - z for v in dec.vertex_counts] + [pi + z, pj + z, z]
-        terms.append(((z + m) & 1, ctx.multinomial_factors(parts)))
-    return Cyc(ctx, ctx.packed_sum(terms), 1, _normalised=True)
+        terms.append(((z + m) & 1, parts))
+    return ctx.multinomial_sum(terms)
 
 
 def iter_admissible_symbols(max_entry: int, r: int | None = None):

@@ -1,7 +1,9 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import cache
+from itertools import combinations, combinations_with_replacement, \
+    permutations, product
 from pathlib import Path
 
 import pytest
@@ -28,9 +30,10 @@ from tvcalc import (
     tv_at_class,
 )
 from tvcalc.colourings import WeightSystem, _backtrack, _cache, \
-    _search_plan, _third_colours, edge_weight, triangle_weight, \
-    vertex_weight
-from tvcalc.cyclotomic import MAX_LEVEL, Cyc, FieldContext
+    _search_plan, _tet_weight_sum, _third_colours, edge_weight, \
+    triangle_weight, vertex_weight
+from tvcalc.cyclotomic import MAX_LEVEL, Cyc, FieldContext, \
+    negacyclic_fold, negacyclic_pack, negacyclic_unpack
 from tvcalc.fastalgo import adm4_structured
 from tvcalc.loopcoords import IntersectionSymbol, decompose_symbol, \
     tet_weight_loop
@@ -479,6 +482,164 @@ def _admissible_tet_colours(r, rng, count):
     return found
 
 
+def _tet_samples(r, rng):
+    """24 seeded admissible colourings of one tetrahedron, then every
+    admissible colouring with colours <= 2."""
+    samples = _admissible_tet_colours(r, rng, 24)
+    samples += [colours for colours in product(range(3), repeat=6)
+                if colours not in samples and all(
+                    _oracle_triple(r, *(colours[k] for k in face))
+                    for face in _ORACLE_FACES)]
+    return samples
+
+
+def _tet_key(colours):
+    """The sorted triangle and quad half-sums, which a tetrahedron
+    weight depends on alone."""
+    tri = sorted(sum(colours[k] for k in face) // 2 for face in _ORACLE_FACES)
+    quad = sorted((sum(colours) - colours[k] - colours[m]) // 2
+                  for k, m in _ORACLE_OPPOSITE)
+    return tuple(tri), tuple(quad)
+
+
+def _tet_keys(r):
+    """Every key of an admissible colouring at level r.
+
+    Edge k has colour t_f + t_g - Q for the two triangles f, g at k and
+    the quad half-sum Q that leaves out k and its opposite edge.  Each
+    triangle inequality reads Q >= t for one triangle and one quad, so a
+    key (t1 <= .. <= t4, Q1 <= Q2 <= Q3) is admissible when
+    sum(t) = sum(Q), t4 <= min(Q1, r - 2), and the colours are
+    non-negative for some matching of the quads to the three pairings
+    of the triangles: the sorted Q against the pairings' smaller sums
+    t1 + t2, t1 + t3 and min(t1 + t4, t2 + t3).
+    """
+    keys = []
+    for tri in combinations_with_replacement(range(r - 1), 4):
+        t1, t2, t3, t4 = tri
+        for q1 in range(t4, t1 + t2 + 1):
+            for q2 in range(q1, t1 + t3 + 1):
+                q3 = sum(tri) - q1 - q2
+                if q2 <= q3 <= min(t1 + t4, t2 + t3):
+                    keys.append((tri, (q1, q2, q3)))
+    return keys
+
+
+def _key_colours(key):
+    """Six colours with the key ``key``: triangle i of _ORACLE_FACES
+    gets t_i, and the pairing that puts triangle 0 with triangle j gets
+    Q_j."""
+    tri, quad = key
+    colours = []
+    for k in range(6):
+        f, g = (i for i, face in enumerate(_ORACLE_FACES) if k in face)
+        j = g if f == 0 else ({1, 2, 3} - {f, g}).pop()
+        colours.append(tri[f] + tri[g] - quad[j - 1])
+    return tuple(colours)
+
+
+def test_tet_keys_are_those_of_the_admissible_colourings():
+    for r in range(3, 8):
+        keys = _tet_keys(r)
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {
+            _tet_key(colours) for colours in product(range(r - 1), repeat=6)
+            if all(_oracle_triple(r, *(colours[k] for k in face))
+                   for face in _ORACLE_FACES)}
+        for key in keys:
+            assert _tet_key(_key_colours(key)) == key
+
+
+@pytest.mark.parametrize("r, q", [(r, q) for r in range(3, 14)
+                                  for q in (1, r + 1)] + [(47, 48)])
+def test_tet_weights_match_factorial_oracle_on_every_key(r, q, factorials):
+    # the edge-colour sum and the loop-coordinate sum against the
+    # factorial form, which reads no packed table: one colouring per
+    # admissible key at r <= 13, and at r = 47 the samples of
+    # test_cached_tet_weights_match_uncached_oracle, (2, 2, 2, 2, 2, 0)
+    # among them, at the second base q (that test runs q = 1)
+    ctx = FieldContext(r, q)
+    fact, inv_fact = factorials(ctx)
+    if r <= 13:
+        samples = [_key_colours(key) for key in _tet_keys(r)]
+    else:
+        samples = _tet_samples(r, random.Random(r))
+        assert (2, 2, 2, 2, 2, 0) in samples
+    for c in samples:
+        want = _oracle_tet_weight(ctx, c, fact, inv_fact)
+        got = tetrahedron_weight(ctx, c)
+        assert (got.num, got.den) == (want.num, want.den), c
+        symbol = IntersectionSymbol(((c[0], c[3], c[1]), (c[5], c[2], c[4])))
+        loop = tet_weight_loop(ctx, decompose_symbol(symbol))
+        assert (loop.num, loop.den) == (want.num, want.den), c
+
+
+@pytest.mark.parametrize("r", range(3, 65))
+def test_packed_table_width_holds_every_tetrahedron_sum(r, monkeypatch):
+    # at both base contexts, q = 1 and at odd r q = r + 1: for every
+    # admissible key at r <= 23, and a seeded sample above, the terms
+    # that _tet_weight_sum hands to multinomial_sum have
+    # S = sum_terms prod |factor|_1 < 2^(W-1), and their sum, packed
+    # unreduced at 1024 bits a slot and read back, has every coefficient
+    # below that bound.  At r = 6 the largest S needs every bit of W - 1
+    if r <= 23:
+        keys = _tet_keys(r)
+    else:
+        keys = [_tet_key(c)
+                for c in _admissible_tet_colours(r, random.Random(r), 5)]
+    seen = []
+    monkeypatch.setattr(FieldContext, "multinomial_sum",
+                        lambda ctx, terms: seen.extend(terms))
+    wide = 1024
+    for q in (1, r + 1) if r % 2 else (1,):
+        ctx = FieldContext(r, q)
+        width = ctx._packed_table()[0]
+        bound = 1 << (width - 1)
+        # [n+1] at (n, None) and [n k] at (n, k): the l1 norm, and the
+        # vector packed at 1024 bits a slot
+        factors = {(n, None): ctx.quantum_integer(n + 1).num
+                   for n in range(r - 1)}
+        factors.update(((n, k), ctx.quantum_binomial(n, k).num)
+                       for n in range(r - 1) for k in range(n // 2 + 1))
+        factors = {at: (sum(map(abs, vec)), negacyclic_pack(vec, wide))
+                   for at, vec in factors.items()}
+
+        @cache
+        def multinomial(parts):
+            # [n k] for each of the sorted nonzero parts k but the
+            # largest, n = sum(parts) falling by k after each: the
+            # product of their l1 norms, and their product at 1024 bits
+            # a slot
+            if len(parts) < 2:
+                return 1, 1
+            norm, value = multinomial(parts[1:])
+            more, packed = factors[sum(parts), parts[0]]
+            return norm * more, negacyclic_fold(value * packed, r * wide)
+
+        @cache
+        def term(parts):
+            # [n+1] times the multinomial, as a pair like the above
+            norm, value = multinomial(parts)
+            more, packed = factors[sum(parts), None]
+            return norm * more, negacyclic_fold(value * packed, r * wide)
+
+        largest = 0
+        for key in keys:
+            seen.clear()
+            _tet_weight_sum(ctx, *key)
+            size = total = 0
+            for negative, parts in seen:
+                norm, value = term(tuple(sorted(p for p in parts if p)))
+                size += norm
+                total = total - value if negative else total + value
+            assert size < bound, (q, key)
+            coeffs = negacyclic_unpack(total, r, wide)
+            assert max(map(abs, coeffs)) < bound, (q, key)
+            largest = max(largest, size)
+        if r == 6:
+            assert largest.bit_length() == width - 1
+
+
 @pytest.mark.parametrize("r", [5, 6, 9, 12, 23, 31, 36, 47])
 def test_cached_tet_weights_match_uncached_oracle(r, factorials):
     # prime, odd composite and even levels (the inverse factorials have
@@ -491,11 +652,7 @@ def test_cached_tet_weights_match_uncached_oracle(r, factorials):
     # relabelled colourings in reverse order first, so a cache key that
     # drops what the value depends on fails.
     rng = random.Random(r)
-    samples = _admissible_tet_colours(r, rng, 24)
-    samples += [colours for colours in product(range(3), repeat=6)
-                if colours not in samples and all(
-                    _oracle_triple(r, *(colours[k] for k in face))
-                    for face in _ORACLE_FACES)]
+    samples = _tet_samples(r, rng)
     assert (2, 2, 2, 2, 2, 0) in samples
     ctx = FieldContext(r, 1)
     fact, inv_fact = factorials(ctx)
@@ -513,8 +670,8 @@ def test_cached_tet_weights_match_uncached_oracle(r, factorials):
             for colours in reversed(samples):
                 tetrahedron_weight(
                     ctx, _relabelled(colours, rng.choice(ALL_PERMS)))
-            # rows up to the largest z met, at most r - 1 of them
-            assert 2 < len(ctx._binom) <= r - 1
+            # the packed table holds every row n <= r - 2
+            assert len(ctx._packed[2]) == r - 1
         for colours, (num, den) in zip(samples, want):
             got = tetrahedron_weight(ctx, colours)
             assert (got.num, got.den) == (num, den), colours
@@ -544,35 +701,42 @@ def _gaussian_binomial(n, k):
 
 def test_weight_caches_stay_bounded(census1, census2, factorials):
     # after a one-tetrahedron invariant at r = 23 the context keeps its
-    # quantum integer tables and the quantum binomials, and nothing
-    # packed.
-    # Each binomial [n k] equals, bit for bit, zeta^(-k(n-k)) times the
-    # Gaussian binomial in zeta^2 read off the power table; [n k] and
-    # [n n-k] are one object; rows stop at n = r - 2
+    # quantum integer tables and one packed table (W, heads, rows):
+    # [n+1] and [n k] for k <= n/2, rows stopping at n = r - 2, each
+    # packed at the context's one width W.
+    # Each binomial [n k] read back from it equals, bit for bit,
+    # zeta^(-k(n-k)) times the Gaussian binomial in zeta^2 read off the
+    # power table, and so does [n n-k]
     r = 23
     tri = next(t for t in census1 if build_skeleton(t).v == 1)
     value = tv(tri, r)
     ctx = value.ctx
     assert set(vars(ctx)) == {
         "r", "q", "order", "modulus", "degree", "_mod_terms", "_xpow",
-        "zero", "one", "zeta", "_qint", "_inv_qint", "_binom"}
-    assert 2 < len(ctx._binom) <= r - 1
-    for n, row in enumerate(ctx._binom):
-        assert len(row) == n + 1
-        for k, entry in enumerate(row):
-            assert entry is row[n - k]
+        "zero", "one", "zeta", "_qint", "_inv_qint", "_packed"}
+    width, heads, rows = ctx._packed
+    assert width == 42
+    assert len(heads) == len(rows) == r - 1
+    for n, head in enumerate(heads):
+        assert head == negacyclic_pack(ctx.quantum_integer(n + 1).num, width)
+    for n, row in enumerate(rows):
+        assert len(row) == n // 2 + 1
+        for k in range(n + 1):
             want = ctx.zero
             for j, c in enumerate(_gaussian_binomial(n, k)):
                 want = want + ctx.zeta_power(2 * j - k * (n - k)) * c
+            assert row[min(k, n - k)] == negacyclic_pack(want.num, width)
+            entry = ctx.quantum_binomial(n, k)
             assert (entry.num, entry.den) == (want.num, want.den)
     # a product with a factorial operand keeps no value
     factorial = factorials(ctx)[0][r - 2]
-    tables = [dict(ctx._qint), dict(ctx._inv_qint),
-              [list(row) for row in ctx._binom]]
+    tables = [dict(ctx._qint), dict(ctx._inv_qint), list(heads),
+              [list(row) for row in rows]]
     dense = Cyc(ctx, tuple(range(1, ctx.degree + 1)))
     assert (dense * dense) * factorial != ctx.zero
-    assert [dict(ctx._qint), dict(ctx._inv_qint),
-            [list(row) for row in ctx._binom]] == tables
+    width, heads, rows = ctx._packed
+    assert [dict(ctx._qint), dict(ctx._inv_qint), list(heads),
+            [list(row) for row in rows]] == tables
 
     # the documented pools only: edge weights are the context's quantum
     # integers and "tet_raw" keeps the one key tuple per six colours

@@ -1,4 +1,4 @@
-"""Smoke tests of the table scripts on the one-tetrahedron census."""
+"""Smoke tests of the scripts on the one-tetrahedron census."""
 import importlib.util
 import json
 from pathlib import Path
@@ -41,6 +41,18 @@ def test_invariant_table_rows(capsys):
     assert "r=4: 1/4 ~ 0.25" in rows[1]
 
 
+def test_level_timing_runs_one_fresh_process_per_level(capsys):
+    assert _load("level_timing").main(["--levels", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("census_t1_0001, q = 1")
+    assert len(rows) == 3
+    r, code, wall, peak = rows[2].split()
+    assert (r, code) == ("5", "0")
+    assert float(wall) > 0
+    # VmHWM of the child alone; where /proc is missing it reads "-"
+    assert peak == "-" or 0 < float(peak) < 1000
+
+
 @pytest.mark.parametrize("name, argv, needle", [
     ("bounds_table", ["--max-tets", str(MAX_CENSUS_TETS + 1)], "--max-tets"),
     ("invariant_table", ["--max-tets", str(MAX_CENSUS_TETS + 1)],
@@ -61,6 +73,8 @@ def test_invariant_table_rows(capsys):
      "--levels"),
     ("invariant_table", ["--levels", "5", "5001", "--max-tets", "1"],
      "at most"),
+    ("level_timing", ["--levels", "2"], "--levels"),
+    ("level_timing", ["--levels", "5", str(MAX_LEVEL + 1)], "--levels"),
 ])
 def test_scripts_reject_bad_arguments_up_front(name, argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
