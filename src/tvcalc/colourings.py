@@ -520,11 +520,12 @@ class WeightSystem:
     def __init__(self, skel: Skeleton, r: int, q: int = 1):
         self.skel = skel
         self.ctx = field_init(r, q)
+        self.vertex_factor = vertex_weight(self.ctx) ** skel.v
 
     def colouring_weight(self, colouring) -> Cyc:
         doubled = tuple(colouring)
         skel, ctx = self.skel, self.ctx
-        w = vertex_weight(ctx) ** skel.v
+        w = self.vertex_factor
         for a in doubled:
             w = w * edge_weight(ctx, a)
         for ea, eb, ec in skel.triangle_edge_classes:
@@ -825,9 +826,7 @@ def _elimination_walk(skel: Skeleton, ctx: FieldContext,
     Phi_2r, over its denominator, times the vertex factor.
     """
     value, den, _, width = _packed_walk(skel, ctx, class_coords)
-    total = Cyc(ctx, ctx.reduce_negacyclic(
-        negacyclic_unpack(value, ctx.r, width)), den)
-    return total * vertex_weight(ctx) ** skel.v
+    return ctx.from_packed(value, width, den) * vertex_weight(ctx) ** skel.v
 
 
 def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,

@@ -22,16 +22,15 @@ denominator 1 is integral, so already in lowest terms, and skips the
 gcd pass.
 
 A chain of products is one packed evaluation,
-``FieldContext.packed_sum``: a signed sum of products of coefficient
-vectors in Z/(2^(rw) + 1), the image of Z[x]/(x^r + 1) at x = 2^w,
-folded after every multiply (``negacyclic_fold``), read back
-(``negacyclic_unpack``) and reduced by Phi_2r once.  As
-|f g|_inf <= |f|_1 |g|_1, no coefficient of the sum exceeds the sum
-over its terms of the products of the factors' l1 norms, and w is
-``slot_width`` of that bound.  ``FieldContext.product`` is one such
-term over the product of the denominators, and the only caller of
-``packed_sum``.  The state-sum engine keeps its table values in the
-same packed form.
+``FieldContext.product``: the numerators multiplied in
+Z/(2^(rw) + 1), the image of Z[x]/(x^r + 1) at x = 2^w, folded after
+every multiply (``negacyclic_fold``).  As |f g|_inf <= |f|_1 |g|_1,
+no coefficient of the product exceeds the product of the factors' l1
+norms, and w is ``slot_width`` of that bound.  The state-sum engine
+keeps its table values in the same packed form, and every packed value
+comes back through ``FieldContext.from_packed``: read back
+(``negacyclic_unpack``), reduced by Phi_2r once and put over its
+denominator.
 
 The quantum binomials [n k] = [n]! / ([k]! [n-k]!) for n <= r - 2 are
 integral, and the q-Pascal rule builds them with no division: each
@@ -187,45 +186,39 @@ class FieldContext:
                     conv[base + i] -= c * m
         return tuple(conv[:deg])
 
-    def packed_sum(self, terms) -> tuple:
-        """Power-basis coefficients of the signed sum of products
-        ``terms``, a list of pairs (negative, factors) of a flag and a
-        nonempty list of integer coefficient vectors of at most r
-        entries.
+    def product(self, values) -> "Cyc":
+        """The product of the nonempty list of elements ``values``.
 
         Evaluated in Z/(2^(rw) + 1), the image of Z[x]/(x^r + 1) at
-        x = 2^w: each factor is packed, each product folded as soon as
-        it is made, and the sum read back and reduced by Phi_2r once.
-        In Z[x]/(x^r + 1), |f g|_inf <= |f|_1 |g|_1, so no coefficient
-        of the sum exceeds the sum over the terms of the products of the
-        factors' l1 norms, and w is ``slot_width`` of that bound.
+        x = 2^w: each numerator is packed, each product folded as soon
+        as it is made, and the result read back once over the product of
+        the denominators (``from_packed``).  In Z[x]/(x^r + 1),
+        |f g|_inf <= |f|_1 |g|_1, so no coefficient exceeds the product
+        of the numerators' l1 norms, and w is ``slot_width`` of that
+        bound.
         """
-        bound = 0
-        for _, factors in terms:
-            size = 1
-            for vec in factors:
-                size *= sum(map(abs, vec))
-            bound += size
-        r = self.r
+        bound = 1
+        for v in values:
+            bound *= sum(map(abs, v.num))
         width = slot_width(bound.bit_length())
-        shift = r * width
-        total = 0
-        for negative, factors in terms:
-            value = negacyclic_pack(factors[0], width)
-            for vec in factors[1:]:
-                value = negacyclic_fold(value * negacyclic_pack(vec, width),
-                                        shift)
-            total = total - value if negative else total + value
-        return self.reduce_negacyclic(negacyclic_unpack(total, r, width))
-
-    def product(self, values) -> "Cyc":
-        """The product of the elements ``values``: one ``packed_sum``
-        term over the product of their denominators."""
-        den = math.prod(v.den for v in values)
-        return Cyc(self, self.packed_sum([(False, [v.num for v in values])]),
-                   den, _normalised=den == 1)
+        shift = self.r * width
+        value = negacyclic_pack(values[0].num, width)
+        for v in values[1:]:
+            value = negacyclic_fold(value * negacyclic_pack(v.num, width),
+                                    shift)
+        return self.from_packed(value, width,
+                                math.prod(v.den for v in values))
 
     # -- constructors ------------------------------------------------------
+
+    def from_packed(self, value: int, width: int, den: int = 1) -> "Cyc":
+        """The element whose numerator ``negacyclic_pack`` maps to
+        ``value`` at ``width`` bits a slot, each coefficient below
+        2^(width - 1) in absolute value, over ``den``: unpacked, then
+        reduced by Phi_2r."""
+        return Cyc(self, self.reduce_negacyclic(
+            negacyclic_unpack(value, self.r, width)), den,
+            _normalised=den == 1)
 
     def from_rational(self, value) -> "Cyc":
         frac = Fraction(value)
@@ -303,8 +296,7 @@ class FieldContext:
             raise ValueError(
                 f"[n k] needs 0 <= k <= n <= r - 2, got ({n}, {k})")
         width, _, rows = self._packed_table()
-        digits = negacyclic_unpack(rows[n][min(k, n - k)], self.r, width)
-        return Cyc(self, tuple(digits[:self.degree]), 1, _normalised=True)
+        return self.from_packed(rows[n][min(k, n - k)], width)
 
     def _packed_table(self) -> tuple:
         """(W, heads, rows): heads[n] = [n+1] and rows[n][k] = [n k]
@@ -379,8 +371,7 @@ class FieldContext:
                     value = negacyclic_fold(value * rows[n][part], shift)
                     n -= part
             total = total - value if negative else total + value
-        return Cyc(self, self.reduce_negacyclic(
-            negacyclic_unpack(total, self.r, width)), 1, _normalised=True)
+        return self.from_packed(total, width)
 
     def _add_rotated(self, conv: list, coeffs, k: int) -> None:
         """Add ``coeffs`` times zeta^k into the r slots ``conv`` of
@@ -565,13 +556,14 @@ class Cyc:
         """Powers with k >= 0 only; a field element has no inverse here."""
         if k < 0:
             raise ValueError(f"powers need k >= 0, got {k}")
-        result = self.ctx.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return self.ctx.one
+        # left to right over the bits of k after the leading one
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def galois(self, s: int, ctx: FieldContext) -> "Cyc":
@@ -632,10 +624,6 @@ class Cyc:
     def to_strings(self):
         """Power-basis coefficients as 'numerator/denominator' strings."""
         return [f"{f.numerator}/{f.denominator}" for f in self.coefficients()]
-
-    @classmethod
-    def from_strings(cls, ctx: FieldContext, strings) -> "Cyc":
-        return ctx.from_fractions([Fraction(s) for s in strings])
 
 
 # the largest level r of a field context, and so of every command: the

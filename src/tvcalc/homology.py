@@ -3,9 +3,14 @@
 Chain groups are generated by the vertex, edge, triangle and tetrahedron
 classes of a skeleton.  Boundary entries count incidences with
 multiplicity, so a triangle whose edges are identified in pairs can have a
-column of weight one or three.  Matrices over GF(2) are stored one bitmask
-per row; the integer Smith normal form used for H1 is a naive pivoting
-reduction, which is plenty for desk-scale inputs.
+column of weight one or three.  A matrix over GF(2) is a list of rows,
+one bitmask per row.  One elimination, ``_reduce``, serves every Z/2
+question: its rows give the ranks behind the Betti numbers, and its
+relations among the rows of d2 are the kernel of delta^1 = d2^T, from
+which ``cocycle_space_1`` builds the cocycle basis.  Integral H1 needs
+one Smith normal form, of d2 (naive pivoting, plenty for desk-scale
+inputs), as the rank of d1, the incidence matrix of the 1-skeleton, is
+v minus the number of components over any field.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from .triangulation import EDGE_INDEX, Skeleton
 
 __all__ = [
-    "GF2Matrix",
     "boundary_matrix_z2",
     "betti_z2",
     "CocycleBasis",
@@ -26,66 +30,41 @@ __all__ = [
 ]
 
 
-@dataclass
-class GF2Matrix:
-    """A matrix over GF(2); rows[i] holds row i with column j at bit j."""
+def _eliminate(rows, mask: int, combo: int = 0):
+    """(residue, combination) of ``mask`` against reduced ``rows``, with
+    ``combo`` the combination ``mask`` stands for.
 
-    nrows: int
-    ncols: int
-    rows: list
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "GF2Matrix":
-        return cls(nrows, ncols, [0] * nrows)
-
-    def flip(self, i: int, j: int) -> None:
-        self.rows[i] ^= 1 << j
-
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def rank(self) -> int:
-        return len(_echelon(self.rows.copy(), self.ncols)[0])
-
-    def kernel_basis(self) -> list:
-        """Basis of {x : M x = 0}, one bitmask per vector, deterministic.
-
-        Pivots are chosen first-nonzero in column order, free columns in
-        increasing order.
-        """
-        pivots, reduced = _echelon(self.rows.copy(), self.ncols)
-        pivot_cols = {col: row for col, row in pivots}
-        basis = []
-        for j in range(self.ncols):
-            if j in pivot_cols:
-                continue
-            vec = 1 << j
-            for col, row in pivots:
-                if (reduced[row] >> j) & 1:
-                    vec |= 1 << col
-            basis.append(vec)
-        return basis
+    Each row is (reduced vector, combination, pivot bit), and its vector
+    is clear at the pivots of the rows before it; so one pass in order
+    clears every pivot, and the residue is zero exactly when ``mask``
+    lies in the span of the rows.
+    """
+    acc = mask
+    for rvec, rcombo, pivot in rows:
+        if (acc >> pivot) & 1:
+            acc ^= rvec
+            combo ^= rcombo
+    return acc, combo
 
 
-def _echelon(rows: list, ncols: int):
-    """Row reduce in place; returns ([(pivot_col, row_index)...], rows)."""
-    pivots = []
-    next_row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(next_row, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[next_row], rows[pivot] = rows[pivot], rows[next_row]
-        for i in range(len(rows)):
-            if i != next_row and (rows[i] >> col) & 1:
-                rows[i] ^= rows[next_row]
-        pivots.append((col, next_row))
-        next_row += 1
-    return pivots, rows
+def _reduce(vectors):
+    """Row reduce bitmask ``vectors`` in order: (rows, relations).
+
+    A vector independent of the ones before it becomes a row (reduced
+    vector, combination of inputs, lowest set bit as pivot), so
+    ``len(rows)`` is the rank.  A dependent vector gives its relation:
+    the combination of inputs, its own bit and those of earlier
+    independent vectors, that sums to zero.  The relations are a basis
+    of the relations among the inputs, in input order.
+    """
+    rows, relations = [], []
+    for i, vec in enumerate(vectors):
+        acc, combo = _eliminate(rows, vec, 1 << i)
+        if acc:
+            rows.append((acc, combo, (acc & -acc).bit_length() - 1))
+        else:
+            relations.append(combo)
+    return rows, relations
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +79,28 @@ def _triangle_rep_local(skel: Skeleton):
     return reps
 
 
-def boundary_matrix_z2(skel: Skeleton, p: int) -> GF2Matrix:
-    """The GF(2) boundary map from p-chains to (p-1)-chains."""
+def boundary_matrix_z2(skel: Skeleton, p: int) -> list:
+    """The GF(2) boundary map from p-chains to (p-1)-chains, one bitmask
+    per row: bit j of row i is the entry in column j."""
     if p == 1:
-        m = GF2Matrix.zero(skel.v, skel.e)
-        for c, (tail, head) in enumerate(skel.edge_endpoints):
-            m.flip(tail, c)
-            m.flip(head, c)
-        return m
-    if p == 2:
-        m = GF2Matrix.zero(skel.e, skel.f)
-        for c, edges in enumerate(skel.triangle_edge_classes):
-            for j in edges:
-                m.flip(j, c)
-        return m
-    if p == 3:
-        m = GF2Matrix.zero(skel.f, skel.n)
-        for t in range(skel.n):
-            for face in range(4):
-                m.flip(skel.triangle_class[4 * t + face], t)
-        return m
-    raise ValueError(f"p must be 1, 2 or 3, got {p}")
+        nrows, columns = skel.v, skel.edge_endpoints
+    elif p == 2:
+        nrows, columns = skel.e, skel.triangle_edge_classes
+    elif p == 3:
+        nrows = skel.f
+        columns = [skel.triangle_class[4 * t:4 * t + 4]
+                   for t in range(skel.n)]
+    else:
+        raise ValueError(f"p must be 1, 2 or 3, got {p}")
+    rows = [0] * nrows
+    for c, faces in enumerate(columns):
+        for i in faces:
+            rows[i] ^= 1 << c
+    return rows
+
+
+def _rank_z2(skel: Skeleton, p: int) -> int:
+    return len(_reduce(boundary_matrix_z2(skel, p))[0])
 
 
 def betti_z2(skel: Skeleton, p: int) -> int:
@@ -128,8 +108,8 @@ def betti_z2(skel: Skeleton, p: int) -> int:
     dims = {0: skel.v, 1: skel.e, 2: skel.f, 3: skel.n}
     if p not in dims:
         raise ValueError(f"p must be 0..3, got {p}")
-    ker = dims[p] - (boundary_matrix_z2(skel, p).rank() if p > 0 else 0)
-    img = boundary_matrix_z2(skel, p + 1).rank() if p < 3 else 0
+    ker = dims[p] - (_rank_z2(skel, p) if p > 0 else 0)
+    img = _rank_z2(skel, p + 1) if p < 3 else 0
     return ker - img
 
 
@@ -160,12 +140,7 @@ class CocycleBasis:
         Both are linear in mask: the rows are triangular, so each row
         test reads a bit that is itself linear in the input.
         """
-        acc, combo = mask, 0
-        for rvec, rcombo, pivot in self.rows:
-            if (acc >> pivot) & 1:
-                acc ^= rvec
-                combo ^= rcombo
-        return acc, combo
+        return _eliminate(self.rows, mask)
 
     def is_cocycle(self, mask: int) -> bool:
         return self._eliminate(mask)[0] == 0
@@ -213,17 +188,15 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
     """
     if betti_z2(skel, 0) != 1:
         raise ValueError("skeleton is not connected")
-    # delta^2 is the transpose of d2: one row per triangle class, its
-    # three edge classes counted mod 2.
-    delta2 = GF2Matrix(skel.f, skel.e, [
-        (1 << a) ^ (1 << b) ^ (1 << c)
-        for a, b, c in skel.triangle_edge_classes])
-    kernel = delta2.kernel_basis()
+    # delta^1 is the transpose of d2, so its kernel is the relations
+    # among the rows of d2: one per row in the span of the rows before
+    # it, in increasing order, on that edge class and earlier ones
+    kernel = _reduce(boundary_matrix_z2(skel, 2))[1]
 
     # Coboundaries of single vertex classes, the rows of d1; any v-1 of
     # them are a basis of the coboundary subspace (the full sum is zero on
     # a closed complex).
-    cob = boundary_matrix_z2(skel, 1).rows[:skel.v - 1]
+    cob = boundary_matrix_z2(skel, 1)[:skel.v - 1]
 
     # Greedily extend the coboundaries by kernel vectors independent of the
     # span so far; every coboundary must be independent.  Each reduced row
@@ -231,11 +204,7 @@ def cocycle_space_1(skel: Skeleton) -> CocycleBasis:
     vectors = []
     rows = []
     for i, vec in enumerate(cob + kernel):
-        acc, combo = vec, 1 << len(vectors)
-        for rvec, rcombo, pivot in rows:
-            if (acc >> pivot) & 1:
-                acc ^= rvec
-                combo ^= rcombo
+        acc, combo = _eliminate(rows, vec, 1 << len(vectors))
         if acc:
             rows.append((acc, combo, (acc & -acc).bit_length() - 1))
             vectors.append(vec)
@@ -269,29 +238,21 @@ def cohomology_class(basis: CocycleBasis, doubled):
 # integral H1
 
 
-def _boundary_int(skel: Skeleton, p: int):
-    """Signed boundary matrices for p = 1, 2 (list-of-list ints)."""
-    if p == 1:
-        m = [[0] * skel.e for _ in range(skel.v)]
-        for c, (tail, head) in enumerate(skel.edge_endpoints):
-            m[head][c] += 1
-            m[tail][c] -= 1
-        return m
-    if p == 2:
-        m = [[0] * skel.f for _ in range(skel.e)]
-        for c, local in enumerate(_triangle_rep_local(skel)):
-            t, face = divmod(local, 4)
-            verts = [u for u in range(4) if u != face]
-            # boundary of the oriented 2-simplex (x, y, z)
-            x, y, z = verts
-            for simplex_sign, (a, b) in ((1, (y, z)), (-1, (x, z)),
-                                         (1, (x, y))):
-                k = EDGE_INDEX[(a, b)]
-                local_edge = 6 * t + k
-                sign = simplex_sign * skel.edge_sign[local_edge]
-                m[skel.edge_class[local_edge]][c] += sign
-        return m
-    raise ValueError(f"p must be 1 or 2, got {p}")
+def _boundary_int(skel: Skeleton):
+    """The signed 2-boundary matrix (list-of-list ints)."""
+    m = [[0] * skel.f for _ in range(skel.e)]
+    for c, local in enumerate(_triangle_rep_local(skel)):
+        t, face = divmod(local, 4)
+        verts = [u for u in range(4) if u != face]
+        # boundary of the oriented 2-simplex (x, y, z)
+        x, y, z = verts
+        for simplex_sign, (a, b) in ((1, (y, z)), (-1, (x, z)),
+                                     (1, (x, y))):
+            k = EDGE_INDEX[(a, b)]
+            local_edge = 6 * t + k
+            sign = simplex_sign * skel.edge_sign[local_edge]
+            m[skel.edge_class[local_edge]][c] += sign
+    return m
 
 
 def smith_normal_form(matrix):
@@ -370,13 +331,13 @@ def h1_integral(skel: Skeleton) -> H1Summary:
     """H1 over the integers, from the Smith normal form of the 2-boundary.
 
     The torsion of H1 equals the torsion of coker(d2) because chains modulo
-    cycles are free; the free rank comes from the usual rank count.
+    cycles are free; the free rank comes from the usual rank count.  d1 is
+    the oriented incidence matrix of the 1-skeleton, whose rank over any
+    field is v minus the number of components.
     """
-    d1 = _boundary_int(skel, 1)
-    d2 = _boundary_int(skel, 2)
+    rank_d1 = skel.v - betti_z2(skel, 0)
     # the Smith diagonal holds only nonzero pivots, so its length is the rank
-    rank_d1 = len(smith_normal_form(d1))
-    diag = smith_normal_form(d2)
+    diag = smith_normal_form(_boundary_int(skel))
     rank_d2 = len(diag)
     rank = skel.e - rank_d1 - rank_d2
     torsion = tuple(d for d in diag if d > 1)

@@ -266,41 +266,33 @@ def _monomial(ctx, c, i):
 
 @pytest.mark.parametrize("r", [23, 31, 47])
 def test_product_fills_its_slots(r):
-    # packed_sum at its proven width.  Every factor is a monomial
-    # c x^i, and every term lands on coefficient 0 with a plus sign once
-    # x^r = -1 is folded, after one multiply, two, or none.  So that
-    # coefficient equals the bound sum_terms prod_factors |f|_1: it
-    # needs every bit of slot_width(bits(bound)), and a slot one bit
-    # narrower misreads it
+    # product at its proven width.  Every factor is a monomial c x^i,
+    # and the chain lands on coefficient 0 with a plus sign once x^r = -1
+    # is folded at the last multiply.  So that coefficient equals the
+    # bound prod_factors |f|_1: it needs every bit of
+    # slot_width(bits(bound)), and a slot one bit narrower misreads it
     ctx = field_init(r, 1)
     assert ctx.degree == r - 1
-    m0, m1, m2 = 2**100 - 1, 2**57 + 3, 3**40
-    terms = [
-        (False, [_monomial(ctx, m0, 0), _monomial(ctx, m1, 0)]),
-        (True, [_monomial(ctx, m1, r - 2), _monomial(ctx, m2, 2)]),
-        (False, [_monomial(ctx, m0, r - 2), _monomial(ctx, m1, r - 2),
-                 _monomial(ctx, m2, 4)]),
-        (True, [_monomial(ctx, -m2, 0)]),
-    ]
-    bound = m0 * m1 + m1 * m2 + m0 * m1 * m2 + m2
-    want = ctx.zero
-    for negative, factors in terms:
-        chain = [Cyc(ctx, vec) for vec in factors]
-        value = chain[0]
-        for f in chain[1:]:
-            value = _reference_product(value, f)
-        want = want - value if negative else want + value
+    m0, m1, m2, m3 = 2**100 - 1, 2**57 + 3, 3**40, 5**20
+    chain = [Cyc(ctx, _monomial(ctx, m0, r - 2)),
+             Cyc(ctx, _monomial(ctx, -m1, 1)),
+             Cyc(ctx, _monomial(ctx, m2, 0)),
+             Cyc(ctx, _monomial(ctx, m3, 1))]
+    bound = m0 * m1 * m2 * m3
+    want = chain[0]
+    for f in chain[1:]:
+        want = _reference_product(want, f)
     assert want.num == (bound,) + (0,) * (ctx.degree - 1)
-    assert ctx.packed_sum(terms) == want.num
+    got = ctx.product(chain)
+    assert (got.num, got.den) == (want.num, 1)
 
 
 @pytest.mark.parametrize("r", [4, 6, 9, 16, 31, 47, 105])
 def test_packed_products_match_reference_chains(r):
-    # FieldContext.product and packed_sum against chains of
-    # _reference_product: even, odd composite and prime levels, and
-    # r = 105, whose modulus has coefficients +-2.  The inverse quantum
-    # integers have denominators at composite r, and the random
-    # elements at every r
+    # FieldContext.product against chains of _reference_product: even,
+    # odd composite and prime levels, and r = 105, whose modulus has
+    # coefficients +-2.  The inverse quantum integers have denominators
+    # at composite r, and the random elements at every r
     ctx = field_init(r, 1)
     rng = random.Random(r)
     values = [ctx.quantum_integer(k) for k in range(1, r)]
@@ -320,18 +312,15 @@ def test_packed_products_match_reference_chains(r):
             want = _reference_product(want, f)
         got = ctx.product(chain)
         assert (got.num, got.den) == (want.num, want.den)
+    # integral chains, longer: their product is already normalised
     integral = [v for v in values if v.den == 1]
     for _ in range(10):
-        terms, want = [], ctx.zero
-        for _ in range(rng.randint(1, 5)):
-            chain = [rng.choice(integral) for _ in range(rng.randint(1, 5))]
-            negative = rng.random() < 0.5
-            terms.append((negative, [f.num for f in chain]))
-            value = chain[0]
-            for f in chain[1:]:
-                value = _reference_product(value, f)
-            want = want - value if negative else want + value
-        assert ctx.packed_sum(terms) == want.num
+        chain = [rng.choice(integral) for _ in range(rng.randint(1, 9))]
+        want = chain[0]
+        for f in chain[1:]:
+            want = _reference_product(want, f)
+        got = ctx.product(chain)
+        assert (got.num, got.den) == (want.num, 1)
 
 
 @pytest.mark.parametrize("r", [17, 36, 40])
@@ -479,7 +468,7 @@ def test_string_round_trip(data):
     r, q = data.draw(st.sampled_from(LEVELS))
     ctx = field_init(r, q)
     a = _random_element(ctx, data)
-    assert Cyc.from_strings(ctx, a.to_strings()) == a
+    assert ctx.from_fractions([Fraction(s) for s in a.to_strings()]) == a
 
 
 def test_rational_detection():

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,21 +12,25 @@ from tvcalc import (
     cohomology_class,
     enumerate_census,
     h1_integral,
+    pachner_23,
+    parse_triangulation,
     reduce_colouring,
 )
-from tvcalc.homology import GF2Matrix, smith_normal_form
+from tvcalc.homology import _boundary_int, _reduce, smith_normal_form
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
-def _mat_rows(m: GF2Matrix):
-    return [[m.get(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+def _mat_rows(rows, ncols):
+    return [[(row >> j) & 1 for j in range(ncols)] for row in rows]
 
 
 def test_boundary_squared_is_zero(census1, census2):
     for tri in census1 + census2:
         skel = build_skeleton(tri)
-        d1 = _mat_rows(boundary_matrix_z2(skel, 1))
-        d2 = _mat_rows(boundary_matrix_z2(skel, 2))
-        d3 = _mat_rows(boundary_matrix_z2(skel, 3))
+        d1 = _mat_rows(boundary_matrix_z2(skel, 1), skel.e)
+        d2 = _mat_rows(boundary_matrix_z2(skel, 2), skel.f)
+        d3 = _mat_rows(boundary_matrix_z2(skel, 3), skel.n)
         # d1 . d2 = 0 and d2 . d3 = 0 over GF(2)
         for a, b in ((d1, d2), (d2, d3)):
             rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
@@ -148,3 +155,124 @@ def test_non_cocycle_raises(census2):
         pytest.skip("every mask is a cocycle here")
     with pytest.raises(ValueError):
         basis.coordinates(non)
+
+
+def _span(vectors):
+    span = {0}
+    for vec in vectors:
+        span |= {x ^ vec for x in span}
+    return span
+
+
+def _combine(vectors, combo):
+    acc = 0
+    for i, vec in enumerate(vectors):
+        if (combo >> i) & 1:
+            acc ^= vec
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**6 - 1), max_size=9))
+def test_reduce_rows_and_relations(vectors):
+    rows, relations = _reduce(vectors)
+    assert 1 << len(rows) == len(_span(vectors))
+    assert len(relations) == len(vectors) - len(rows)
+    for rvec, combo, pivot in rows:
+        assert (rvec >> pivot) & 1
+        assert rvec == _combine(vectors, combo)
+    for combo in relations:
+        assert combo and _combine(vectors, combo) == 0
+    assert len(_span(relations)) == 1 << len(relations)
+
+
+def _echelon(rows, ncols):
+    """Row reduced echelon form in place, pivots first-nonzero in column
+    order: ([(pivot column, row index)...], rows)."""
+    pivots = []
+    next_row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(next_row, len(rows))
+                      if (rows[i] >> col) & 1), None)
+        if pivot is None:
+            continue
+        rows[next_row], rows[pivot] = rows[pivot], rows[next_row]
+        for i in range(len(rows)):
+            if i != next_row and (rows[i] >> col) & 1:
+                rows[i] ^= rows[next_row]
+        pivots.append((col, next_row))
+        next_row += 1
+    return pivots, rows
+
+
+def _kernel_basis(rows, ncols):
+    """{x : M x = 0} from the echelon form: one vector per free column,
+    in increasing order, with its entries on the pivot columns."""
+    pivots, reduced = _echelon(rows.copy(), ncols)
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for j in range(ncols):
+        if j not in pivot_cols:
+            vec = 1 << j
+            for col, row in pivots:
+                if (reduced[row] >> j) & 1:
+                    vec |= 1 << col
+            basis.append(vec)
+    return basis
+
+
+def _reference_homology(skel):
+    """(vectors, rows, beta1, Betti numbers, H1 rank and torsion) by
+    echelon forms over GF(2) and Smith normal forms of d1 and d2."""
+    dims = (skel.v, skel.e, skel.f, skel.n)
+    ranks = [0] + [len(_echelon(boundary_matrix_z2(skel, p), dims[p])[0])
+                   for p in (1, 2, 3)] + [0]
+    betti = [dims[p] - ranks[p] - ranks[p + 1] for p in range(4)]
+    delta1 = [(1 << a) ^ (1 << b) ^ (1 << c)
+              for a, b, c in skel.triangle_edge_classes]
+    kernel = _kernel_basis(delta1, skel.e)
+    cob = boundary_matrix_z2(skel, 1)[:skel.v - 1]
+    vectors, rows = [], []
+    for vec in cob + kernel:
+        acc, combo = vec, 1 << len(vectors)
+        for rvec, rcombo, pivot in rows:
+            if (acc >> pivot) & 1:
+                acc ^= rvec
+                combo ^= rcombo
+        if acc:
+            rows.append((acc, combo, (acc & -acc).bit_length() - 1))
+            vectors.append(vec)
+    d1 = [[0] * skel.e for _ in range(skel.v)]
+    for c, (tail, head) in enumerate(skel.edge_endpoints):
+        d1[head][c] += 1
+        d1[tail][c] -= 1
+    diag = smith_normal_form(_boundary_int(skel))
+    rank = skel.e - len(smith_normal_form(d1)) - len(diag)
+    return (tuple(vectors), tuple(rows), len(vectors) - (skel.v - 1),
+            betti, rank, tuple(d for d in diag if d > 1))
+
+
+def test_homology_matches_echelon_reference(census2):
+    # the corpus (n <= 3) and 2-3 walks from three n = 2 members to 16
+    # tetrahedra
+    tris = [parse_triangulation(path.read_text())
+            for path in sorted(CORPUS.glob("*.tri"))]
+    assert len(tris) == 102
+    for seed, start in enumerate(census2[:3]):
+        rng = random.Random(seed)
+        tri = start
+        while tri.n < 16:
+            skel = build_skeleton(tri)
+            internal = [c for c in range(skel.f)
+                        if len({loc // 4 for loc, cls
+                                in enumerate(skel.triangle_class)
+                                if cls == c}) == 2]
+            tri = pachner_23(tri, rng.choice(internal))
+            tris.append(tri)
+    for tri in tris:
+        skel = build_skeleton(tri)
+        basis = cocycle_space_1(skel)
+        h1 = h1_integral(skel)
+        got = (basis.vectors, basis.rows, basis.beta1,
+               [betti_z2(skel, p) for p in range(4)], h1.rank, h1.torsion)
+        assert got == _reference_homology(skel), tri
