@@ -523,18 +523,16 @@ class WeightSystem:
         self.vertex_factor = vertex_weight(self.ctx) ** skel.v
 
     def colouring_weight(self, colouring) -> Cyc:
+        """The vertex factor times every edge, triangle and tetrahedron
+        weight, as one ``FieldContext.product``."""
         doubled = tuple(colouring)
         skel, ctx = self.skel, self.ctx
-        w = self.vertex_factor
-        for a in doubled:
-            w = w * edge_weight(ctx, a)
-        for ea, eb, ec in skel.triangle_edge_classes:
-            w = w * triangle_weight(ctx, doubled[ea], doubled[eb],
-                                    doubled[ec])
-        for edges in skel.tet_edge_classes:
-            w = w * tetrahedron_weight(
-                ctx, tuple(doubled[c] for c in edges))
-        return w
+        return ctx.product(
+            [self.vertex_factor] + [edge_weight(ctx, a) for a in doubled]
+            + [triangle_weight(ctx, doubled[ea], doubled[eb], doubled[ec])
+               for ea, eb, ec in skel.triangle_edge_classes]
+            + [tetrahedron_weight(ctx, tuple(doubled[c] for c in edges))
+               for edges in skel.tet_edge_classes])
 
 
 def colouring_weight(source, colouring, r: int, q: int = 1) -> Cyc:

@@ -5,24 +5,23 @@ integer coefficient vectors over a common positive denominator, always in
 lowest terms.  The root of unity zeta used by the invariants is x^q, so a
 single field serves every exponent convention; complex conjugation is the
 substitution x -> x^{2r-1}.  More generally ``Cyc.galois`` applies the
-automorphism x -> x^s for s coprime to 2r, a permutation of power-table
-rows, and can land in the context of another q at the same level: the
-invariant at q is the image of the invariant at a base q.  Equality of
-invariants is always decided on these exact representations; floating
-point only ever appears in the display helper ``numeric_eval``.
+automorphism x -> x^s for s coprime to 2r, and can land in the context
+of another q at the same level: the invariant at q is the image of the
+invariant at a base q.  Equality of invariants is always decided on
+these exact representations; floating point only ever appears in the
+display helper ``numeric_eval``.
 
-Quantum integers and their inverses are weighted sums of powers of zeta,
-read off the table of reduced powers of x with no division.  A product
-folds x^r = -1 before it reduces by Phi_{2r}, which divides x^r + 1.
-``Cyc.__mul__`` is the schoolbook loop: it folds while it accumulates,
-into r slots, over the nonzero coefficients of both operands, and the
-reduction runs over the modulus's nonzero coefficients only, adding or
-subtracting where they are -1 or 1.  A product or sum of operands with
-denominator 1 is integral, so already in lowest terms, and skips the
-gcd pass.
+One ring does the work: every element is built, and every product
+taken, in the r slots of Z[x]/(x^r + 1), where x^r = -1, and brought
+back to the power basis by one reduction by Phi_2r, which divides
+x^r + 1 (``FieldContext.reduce_negacyclic``).  A power of zeta, or of
+x in a Galois image, is one signed rotation into the r slots; a quantum
+integer, its inverse and a q-Pascal row of the quantum binomials are
+sums of such rotations (``FieldContext._add_rotated``), with no
+division.
 
-A chain of products is one packed evaluation,
-``FieldContext.product``: the numerators multiplied in
+Every product is one packed evaluation, ``FieldContext.product``,
+which ``Cyc.__mul__`` calls too: the numerators multiplied in
 Z/(2^(rw) + 1), the image of Z[x]/(x^r + 1) at x = 2^w, folded after
 every multiply (``negacyclic_fold``).  As |f g|_inf <= |f|_1 |g|_1,
 no coefficient of the product exceeds the product of the factors' l1
@@ -30,22 +29,22 @@ norms, and w is ``slot_width`` of that bound.  The state-sum engine
 keeps its table values in the same packed form, and every packed value
 comes back through ``FieldContext.from_packed``: read back
 (``negacyclic_unpack``), reduced by Phi_2r once and put over its
-denominator.
+denominator.  A product or sum of operands with denominator 1 is
+integral, so already in lowest terms, and skips the gcd pass.
 
 The quantum binomials [n k] = [n]! / ([k]! [n-k]!) for n <= r - 2 are
 integral, and the q-Pascal rule builds them with no division: each
-entry is two rotations by powers of zeta in Z[x]/(x^r + 1) and one
-reduction by Phi_2r.  The tetrahedron weight is an alternating sum of
-[n+1] times quantum multinomials, products of at most six binomials,
-one term per n (``colourings._tet_weight_sum`` and
-``loopcoords.tet_weight_loop``).  A context packs [n+1] and [n k] once,
-at one slot width W proven from the l1 norms of all of them as stored,
-which the reduction by Phi_2r can make larger than C(n, k); it drops
-their vectors, and ``FieldContext.multinomial_sum`` multiplies out
-every such sum from that table (``FieldContext._packed_table``).  No
-weight divides by a field element, so there is no general inverse:
-``Cyc`` divides by integers and fractions only, and raises to powers
-k >= 0 only.
+entry is two rotations by powers of zeta and one reduction.  The
+tetrahedron weight is an alternating sum of [n+1] times quantum
+multinomials, products of at most six binomials, one term per n
+(``colourings._tet_weight_sum`` and ``loopcoords.tet_weight_loop``).
+A context packs [n+1] and [n k] once, at one slot width W proven from
+the l1 norms of all of them as stored, which the reduction by Phi_2r
+can make larger than C(n, k); it drops their vectors, and
+``FieldContext.multinomial_sum`` multiplies out every such sum from
+that table (``FieldContext._packed_table``).  No weight divides by a
+field element, so there is no general inverse: ``Cyc`` divides by
+integers and fractions only, and raises to powers k >= 0 only.
 """
 from __future__ import annotations
 
@@ -107,11 +106,11 @@ class FieldContext:
     """The field Q(zeta_{2r}) with zeta realised as x^q.
 
     Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
-    root of unity.  Instances cache the reduced powers of x, the
-    quantum integers and their inverses they hand out, and, from the
-    first tetrahedron sum on, one packed table of [n+1] and [n k] for
-    n <= r - 2 at one slot width (``_packed_table``); get one via
-    ``field_init``.
+    root of unity.  Instances keep the modulus's nonzero terms for the
+    one reduction by Phi_2r, cache the quantum integers and their
+    inverses they hand out, and, from the first tetrahedron sum on, one
+    packed table of [n+1] and [n k] for n <= r - 2 at one slot width
+    (``_packed_table``); get one via ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -129,41 +128,22 @@ class FieldContext:
         self.modulus = cyclotomic_polynomial(2 * r)
         self.degree = len(self.modulus) - 1
         # the nonzero low coefficients of the modulus, for the reduction
-        # after a product: positions of +1 and of -1, and the other pairs
+        # by Phi_2r: positions of +1 and of -1, and the other pairs
         low = self.modulus[:-1]
         self._mod_terms = (tuple(i for i, m in enumerate(low) if m == 1),
                            tuple(i for i, m in enumerate(low) if m == -1),
                            tuple((i, m) for i, m in enumerate(low)
                                  if m not in (0, 1, -1)))
 
-        # x^j mod Phi for j = 0..2r-1, as integer coefficient tuples
-        self._xpow = [None] * (2 * r)
-        vec = [0] * self.degree
-        vec[0] = 1
-        self._xpow[0] = tuple(vec)
-        current = vec
-        for j in range(1, 2 * r):
-            current = self._reduce_shift(current)
-            self._xpow[j] = tuple(current)
-
         self.zero = Cyc(self, (0,) * self.degree, 1)
-        self.one = Cyc(self, self._xpow[0], 1)
-        self.zeta = Cyc(self, self._xpow[q % (2 * r)], 1)
+        self.one = Cyc(self, (1,) + (0,) * (self.degree - 1), 1)
+        self.zeta = self.zeta_power(1)
 
         self._qint: dict[int, Cyc] = {}
         self._inv_qint: dict[int, Cyc] = {}
         # (width, heads, rows): [n+1] and [n k], k <= n/2, for
         # n <= r - 2, packed once at one width (``_packed_table``)
         self._packed = None
-
-    def _reduce_shift(self, coeffs: list) -> list:
-        """Multiply by x and reduce modulo the (monic) minimal polynomial."""
-        out = [0] + coeffs[:-1]
-        top = coeffs[-1]
-        if top:
-            for i in range(self.degree):
-                out[i] -= top * self.modulus[i]
-        return out
 
     def __repr__(self) -> str:
         return f"FieldContext(r={self.r}, q={self.q})"
@@ -236,20 +216,17 @@ class FieldContext:
                                for f in fracs), den)
 
     def zeta_power(self, k: int) -> "Cyc":
-        """zeta^k for any integer k, via the cached power table."""
-        return Cyc(self, self._xpow[(self.q * k) % self.order], 1)
+        """zeta^k = x^(qk) for any integer k."""
+        return Cyc(self, self._zeta_power_sum([(1, k)]), 1, _normalised=True)
 
-    def _zeta_power_sum(self, start: int, step: int, weights) -> list:
-        """sum_j weights[j] * zeta^(start + step*j) as integer
-        coefficients, no division."""
-        acc = [0] * self.degree
-        for j, weight in enumerate(weights):
-            if weight:
-                row = self._xpow[(self.q * (start + step * j)) % self.order]
-                for i, c in enumerate(row):
-                    if c:
-                        acc[i] += weight * c
-        return acc
+    def _zeta_power_sum(self, terms) -> tuple:
+        """sum weight * zeta^k over the pairs (weight, k) of ``terms``:
+        one signed rotation each in Z[x]/(x^r + 1), then one reduction
+        by Phi_2r, no division."""
+        conv = [0] * self.r
+        for weight, k in terms:
+            self._add_rotated(conv, (weight,), self.q * k)
+        return self.reduce_negacyclic(conv)
 
     # -- quantum integers and binomials ------------------------------------
 
@@ -265,8 +242,8 @@ class FieldContext:
             return self.one
         got = self._qint.get(i)
         if got is None:
-            got = Cyc(self, tuple(self._zeta_power_sum(1 - i, 2, [1] * i)),
-                      1, _normalised=True)
+            got = Cyc(self, self._zeta_power_sum(
+                (1, 1 - i + 2 * j) for j in range(i)), 1, _normalised=True)
             self._qint[i] = got
         return got
 
@@ -282,9 +259,9 @@ class FieldContext:
         got = self._inv_qint.get(k)
         if got is None:
             m = self.r // math.gcd(k, self.r)
-            up = self._zeta_power_sum(k + 1, 2 * k, range(m))
-            down = self._zeta_power_sum(k - 1, 2 * k, range(m))
-            got = Cyc(self, tuple(u - d for u, d in zip(up, down)), m)
+            got = Cyc(self, self._zeta_power_sum(
+                [(j, k + 1 + 2 * k * j) for j in range(m)]
+                + [(-j, k - 1 + 2 * k * j) for j in range(m)]), m)
             self._inv_qint[k] = got
         return got
 
@@ -324,8 +301,9 @@ class FieldContext:
                 row = [one]
                 for j in range(1, m // 2 + 1):
                     conv = [0] * r
-                    self._add_rotated(conv, prev[min(j, m - 1 - j)], j)
-                    self._add_rotated(conv, prev[j - 1], j - m)
+                    self._add_rotated(conv, prev[min(j, m - 1 - j)],
+                                      self.q * j)
+                    self._add_rotated(conv, prev[j - 1], self.q * (j - m))
                     row.append(self.reduce_negacyclic(conv))
                 rows.append(row)
             heads = [self.quantum_integer(n + 1).num for n in range(r - 1)]
@@ -373,11 +351,11 @@ class FieldContext:
             total = total - value if negative else total + value
         return self.from_packed(total, width)
 
-    def _add_rotated(self, conv: list, coeffs, k: int) -> None:
-        """Add ``coeffs`` times zeta^k into the r slots ``conv`` of
-        Z[x]/(x^r + 1), where zeta^k = +-x^s with 0 <= s < r."""
+    def _add_rotated(self, conv: list, coeffs, e: int) -> None:
+        """Add ``coeffs`` times x^e into the r slots ``conv`` of
+        Z[x]/(x^r + 1), where x^e = +-x^s with 0 <= s < r."""
         r = self.r
-        s = (self.q * k) % self.order
+        s = e % self.order
         sign = 1
         if s >= r:
             s -= r
@@ -488,7 +466,9 @@ class Cyc:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Cyc and isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ctx.from_rational(other)
         self._check(other)
         a, b = self, other
@@ -506,11 +486,13 @@ class Cyc:
                    _normalised=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_rational(other)
+        if not isinstance(other, (Cyc, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -522,25 +504,9 @@ class Cyc:
                 return Cyc(self.ctx,
                            tuple(c * other.numerator for c in self.num),
                            self.den * other.denominator)
+            return NotImplemented
         self._check(other)
-        ctx = self.ctx
-        r = ctx.r
-        # x^r = -1 because Phi_2r divides x^r + 1: fold while
-        # accumulating, into r slots
-        conv = [0] * r
-        terms_b = [(j, y) for j, y in enumerate(other.num) if y]
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in terms_b:
-                    k = i + j
-                    if k < r:
-                        conv[k] += x * y
-                    else:
-                        conv[k - r] -= x * y
-        # an integral product is already normalised
-        den = self.den * other.den
-        return Cyc(ctx, ctx.reduce_negacyclic(conv), den,
-                   _normalised=den == 1)
+        return self.ctx.product([self, other])
 
     __rmul__ = __mul__
 
@@ -573,9 +539,12 @@ class Cyc:
         s must be coprime to 2r, and ``ctx`` must be a context of the same
         level: all of them share the power basis of Q[x]/Phi_2r and differ
         only in which power of x they call zeta.  Coefficient k moves to
-        the reduced power x^(sk), a row of the power table.  A value whose
-        weights are rational functions of zeta = x^q maps to the same
-        rational functions of zeta = x^(sq).
+        +-x^(sk mod r) in the r slots of Z[x]/(x^r + 1), which one
+        reduction by Phi_2r brings back to the power basis.  As s is
+        odd, x^r + 1 divides x^(rs) + 1, so the substitution is well
+        defined on Z[x]/(x^r + 1).  A value whose weights are rational
+        functions of zeta = x^q maps to the same rational functions of
+        zeta = x^(sq).
         """
         src = self.ctx
         if ctx.r != src.r:
@@ -585,14 +554,10 @@ class Cyc:
             raise ValueError(
                 f"x -> x^{s} is not an automorphism: gcd({s}, {src.order})"
                 " is not 1")
-        rows, order = ctx._xpow, ctx.order
-        acc = [0] * ctx.degree
+        conv = [0] * ctx.r
         for k, c in enumerate(self.num):
-            if c:
-                for i, p in enumerate(rows[(s * k) % order]):
-                    if p:
-                        acc[i] += c * p
-        return Cyc(ctx, tuple(acc), self.den)
+            ctx._add_rotated(conv, (c,), s * k)
+        return Cyc(ctx, ctx.reduce_negacyclic(conv), self.den)
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation: substitute x -> x^{2r-1}."""

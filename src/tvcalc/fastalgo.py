@@ -123,7 +123,7 @@ def tv_odd_fast(source, r: int) -> Cyc:
 
     beta1 = _derived(skel, cocycle_space_1).beta1
     trivial = tv_at_class(skel, r, 1, (0,) * beta1)
-    return trivial * field_init(r, 1).from_rational(scale)
+    return trivial * scale
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import pytest
 
 from tvcalc import build_skeleton, enumerate_census
+from tvcalc.cyclotomic import cyclotomic_polynomial
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,26 @@ def _factorial_tables(ctx):
 def factorials():
     """``factorials(ctx)`` is the pair of lists ([i]!, 1/[i]!), i < r."""
     return _factorial_tables
+
+
+def _x_power_table(r):
+    """x^j reduced by Phi_2r for j = 0..2r-1, one shift at a time: the
+    reference for the field layer's rotations, which fold x^r = -1 and
+    reduce once."""
+    modulus = cyclotomic_polynomial(2 * r)
+    degree = len(modulus) - 1
+    vec = [1] + [0] * (degree - 1)
+    table = [tuple(vec)]
+    for _ in range(1, 2 * r):
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [c - top * m for c, m in zip(vec, modulus)]
+        table.append(tuple(vec))
+    return table
+
+
+@pytest.fixture(scope="session")
+def x_powers():
+    """``x_powers(r)`` is the list of x^j mod Phi_2r, j < 2r."""
+    return _x_power_table

@@ -705,15 +705,15 @@ def test_weight_caches_stay_bounded(census1, census2, factorials):
     # [n+1] and [n k] for k <= n/2, rows stopping at n = r - 2, each
     # packed at the context's one width W.
     # Each binomial [n k] read back from it equals, bit for bit,
-    # zeta^(-k(n-k)) times the Gaussian binomial in zeta^2 read off the
-    # power table, and so does [n n-k]
+    # zeta^(-k(n-k)) times the Gaussian binomial in zeta^2, summed from
+    # powers of zeta, and so does [n n-k]
     r = 23
     tri = next(t for t in census1 if build_skeleton(t).v == 1)
     value = tv(tri, r)
     ctx = value.ctx
     assert set(vars(ctx)) == {
-        "r", "q", "order", "modulus", "degree", "_mod_terms", "_xpow",
-        "zero", "one", "zeta", "_qint", "_inv_qint", "_packed"}
+        "r", "q", "order", "modulus", "degree", "_mod_terms", "zero",
+        "one", "zeta", "_qint", "_inv_qint", "_packed"}
     width, heads, rows = ctx._packed
     assert width == 42
     assert len(heads) == len(rows) == r - 1

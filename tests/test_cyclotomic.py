@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -135,6 +136,61 @@ def test_quantum_integer_closed_forms():
                 * ctx.inverse_quantum_integer(k) == ctx.one
 
 
+def _rotation_levels():
+    """r = 3..40 at every q, then two q at r = 64, 105 (Phi_210 has a
+    coefficient -2) and 128."""
+    yield from _levels(40, 40)
+    for r, q in ((64, 37), (105, 52), (128, 85)):
+        yield r, 1
+        yield r, q
+
+
+def test_rotation_builders_match_shifted_powers(x_powers):
+    # zeta^k, the quantum integers and 1/[k] add signed rotations in
+    # Z[x]/(x^r + 1) and reduce by Phi_2r once; the reference is x^j
+    # reduced one shift at a time, summed as the closed forms say
+    def vector_sum(terms):
+        return tuple(map(sum, zip(*terms)))
+
+    for r, q in _rotation_levels():
+        ctx = field_init(r, q)
+        powers = x_powers(r)
+
+        def zeta(k):
+            return powers[(q * k) % (2 * r)]
+
+        for k in range(2 * r):
+            got = ctx.zeta_power(k)
+            assert (got.num, got.den) == (zeta(k), 1), (r, q, k)
+        for k in range(1, r + 1):
+            got = ctx.quantum_integer(k)
+            want = vector_sum(zeta(1 - k + 2 * j) for j in range(k))
+            assert (got.num, got.den) == (want, 1), (r, q, k)
+        for k in range(1, r):
+            m = r // math.gcd(k, r)
+            want = vector_sum(
+                tuple(j * (u - d) for u, d in zip(zeta(k + 1 + 2 * k * j),
+                                                  zeta(k - 1 + 2 * k * j)))
+                for j in range(m))
+            assert ctx.inverse_quantum_integer(k) == Cyc(ctx, want, m)
+
+
+def test_galois_images_of_the_basis_match_shifted_powers(x_powers):
+    # x -> x^s takes the basis vector x^j to x^(sj) reduced by Phi_2r,
+    # for every unit s modulo 2r, into the context where zeta = x^s
+    for r in list(range(3, 41)) + [64, 105, 128]:
+        powers = x_powers(r)
+        source = field_init(r, 1)
+        for s in range(1, 2 * r):
+            if math.gcd(s, 2 * r) == 1:
+                target = field_init(r, s)
+                for j in range(source.degree):
+                    image = Cyc(source, powers[j]).galois(s, target)
+                    assert image.ctx is target
+                    assert (image.num, image.den) == \
+                        (powers[s * j % (2 * r)], 1), (r, s, j)
+
+
 def test_field_set_up_needs_no_euclid(factorials):
     # the field layer has no general inverse: 1/[k] is closed-form,
     # and division is by integers and fractions only
@@ -159,6 +215,21 @@ def test_no_division_by_field_elements_or_negative_powers():
             ctx.one / divisor
     with pytest.raises(TypeError):
         1 / ctx.zeta
+
+
+def test_operators_refuse_other_types():
+    # + - * with anything but a Cyc, int or Fraction, on either side,
+    # return NotImplemented, so Python raises TypeError
+    ctx = field_init(5, 1)
+    for other in (1.5, "zeta", None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(ctx.zeta, other)
+            with pytest.raises(TypeError):
+                op(other, ctx.zeta)
+    assert ctx.zeta + 1 == 1 + ctx.zeta
+    assert 1 - ctx.zeta == -(ctx.zeta - 1)
+    assert Fraction(1, 2) * ctx.zeta == ctx.zeta / 2
 
 
 def test_inverse_quantum_integer_range():

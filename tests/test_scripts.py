@@ -1,12 +1,17 @@
 """Smoke tests of the scripts on the one-tetrahedron census."""
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from tvcalc.census import MAX_CENSUS_TETS
+from tvcalc.cli import main
 from tvcalc.cyclotomic import MAX_DIGITS, MAX_LEVEL
+from tvcalc.triangulation import serialise_triangulation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -41,16 +46,29 @@ def test_invariant_table_rows(capsys):
     assert "r=4: 1/4 ~ 0.25" in rows[1]
 
 
-def test_level_timing_runs_one_fresh_process_per_level(capsys):
-    assert _load("level_timing").main(["--levels", "5"]) == 0
+def test_level_timing_runs_one_fresh_process_per_level(
+        census1, tmp_path, monkeypatch, capsys):
+    script = _load("level_timing")
+    assert script.main(["--levels", "5"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].startswith("census_t1_0001, q = 1")
     assert len(rows) == 3
-    r, code, wall, peak = rows[2].split()
+    r, code, wall, peak, digest = rows[2].split()
     assert (r, code) == ("5", "0")
     assert float(wall) > 0
     # VmHWM of the child alone; where /proc is missing it reads "-"
     assert peak == "-" or 0 < float(peak) < 1000
+    # the digest is that of the same call in process, from another
+    # directory
+    (tmp_path / "census_t1_0001.tri").write_text(
+        serialise_triangulation(census1[1]))
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compute", "--file", "census_t1_0001.tri", "--r", "5",
+                     "--json"]) == 0
+    assert digest == hashlib.sha256(
+        out.getvalue().encode()).hexdigest()[:script.DIGEST_CHARS]
 
 
 @pytest.mark.parametrize("name, argv, needle", [
