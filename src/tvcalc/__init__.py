@@ -12,7 +12,6 @@ from .colourings import (
     colouring_weight,
     count_admissible,
     enumerate_admissible,
-    state_sum,
     sweep_sum,
     tetrahedron_weight,
     tv,

@@ -25,11 +25,9 @@ from .colourings import (
     admissible_colouring,
     count_admissible,
     enumerate_admissible,
-    state_sum,
     sweep_sum,
     tetrahedron_weight,
     tv,
-    tv_at_class,
 )
 from .cyclotomic import MAX_DIGITS, field_init, numeric_eval
 from .fastalgo import adm4_structured, bounds, tv_odd_fast
@@ -178,9 +176,9 @@ def _cmd_compute(args) -> int:
 
     algorithm = _choose_algorithm(args, skel)
 
-    # every value comes from the elimination engine (odd-fast runs it on
-    # the zero class and rescales); the algorithm picks the search
-    # behind the reported counts
+    # every value comes from ``tv`` (odd-fast runs it on the zero class
+    # and rescales); the algorithm picks the search behind the reported
+    # counts
     start = time.perf_counter()
     if algorithm == "tv4":
         value = tv(skel, 4, args.q)
@@ -190,8 +188,8 @@ def _cmd_compute(args) -> int:
         # counts describe the level-r integer-only search
         stats = count_admissible(skel, args.r, integer_only=True)
     else:
-        value, stats = state_sum(skel, args.r, args.q,
-                                 class_coords=class_coords)
+        value = tv(skel, args.r, args.q, class_coords)
+        stats = count_admissible(skel, args.r, class_coords=class_coords)
     wall = time.perf_counter() - start
 
     approx = numeric_eval(value, args.digits)
@@ -321,7 +319,7 @@ def _run_verify(skel, r: int) -> int:
     by_class = total.ctx.zero
     for bits in range(1 << basis.beta1):
         coords = tuple((bits >> k) & 1 for k in range(basis.beta1))
-        by_class = by_class + tv_at_class(skel, r, 1, coords)
+        by_class = by_class + tv(skel, r, 1, coords)
     check("elimination sum matches the colouring sweep",
           tv(skel, r, 1) == total)
     check("class-wise sums add up to the state sum", by_class == total)

@@ -24,18 +24,16 @@ per admissible assignment of the other slots, or 1 when there are no
 slots, however few values the range lets the walker try.  Pruned
 interior branches never build a candidate and are not counted.
 
-Every invariant value comes from one engine, ``_elimination_sum``:
-dynamic programming over tetrahedra that never lists whole colourings.
-Its only restriction is a Z/2 cohomology class; on a one-vertex
-skeleton the zero class is the whole-colour sum.  The walk runs only at
-the base q of a level, 1 or (for even q at odd r) r + 1, and a value at
-any other q is the image of the base value under the field automorphism
-x -> x^s (``Cyc.galois``), because every weight is a rational function
-of zeta = x^q.  Inside the engine a table value is one integer modulo
+Every invariant value comes from ``tv``, whose one walk
+(``_packed_walk``) is dynamic programming over tetrahedra that never
+lists whole colourings, restricted at most to a Z/2 cohomology class
+(on a one-vertex skeleton the zero class is the whole-colour sum).  It
+runs at the base q of a level, 1 or (for even q at odd r) r + 1, and
+``Cyc.galois`` maps its value to any other q, as every weight is a
+rational function of zeta = x^q.  A table value is one integer modulo
 2^(rw) + 1 (x -> 2^w, as Phi_2r divides x^r + 1), at a slot width w
-proven step by step and read back as a ``Cyc`` at the end.
-``sweep_sum`` multiplies out the weight of each colouring of a given
-list, at (r, q) directly; it is the engine's independent oracle.
+proven step by step.  ``sweep_sum`` multiplies out the weight of each
+colouring of a given list, at (r, q) directly: the engine's oracle.
 
 A tetrahedron weight is an alternating sum over z of [z+1] times a
 quantum multinomial, a product of quantum binomials that the field
@@ -46,7 +44,8 @@ weight is its neighbour times four quantum integers and their inverses
 weight times the new edge and triangle weights: each is one
 ``FieldContext.product``.
 
-Weights are cached per field context: triangle and tetrahedron
+Weights are cached on the field context they belong to
+(``_cache``), and die with it: triangle and tetrahedron
 weights (an edge weight is a quantum integer, which the context keeps),
 the engine's local factors per pair of tetrahedron key and
 edge-and-triangle key ("local"), and in front of those the same
@@ -60,13 +59,12 @@ pools hold memos only, and the engine asks for at most two contexts per
 level.  Every key is built from colours or half-sums below r, so each
 pool is bounded by a function of the level (README, Library).  The
 cocycle basis, the search and elimination plans, the engine's step
-layouts and the validity of a skeleton are built once per distinct
-skeleton (``_derived``).
+layouts and the validity of a skeleton are built once per skeleton and
+kept on it (``_derived``).
 """
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -104,7 +102,6 @@ __all__ = [
     "WeightSystem",
     "colouring_weight",
     "sweep_sum",
-    "state_sum",
     "tv",
     "tv_at_class",
 ]
@@ -310,11 +307,20 @@ def _search_plan(skel: Skeleton):
             if len(edges) == 1:
                 finishes[min(edges)] += 1
 
+    return order, _depth_checks(order, triangles)
+
+
+def _depth_checks(order, triangles) -> list:
+    """The ``_backtrack`` checks of filling the edge classes ``order``
+    in turn: checks[k] lists the triangles of ``triangles`` whose
+    classes all lie in ``order`` and are all filled once the first k
+    are, but not before."""
+    depth = {e: k for k, e in enumerate(order, 1)}
     checks = [[] for _ in range(len(order) + 1)]
-    level = {e: k for k, e in enumerate(order)}
     for tri in triangles:
-        checks[1 + max(level[x] for x in tri)].append(tri)
-    return order, checks
+        if all(e in depth for e in tri):
+            checks[max(depth[e] for e in tri)].append(tri)
+    return checks
 
 
 def enumerate_admissible(
@@ -371,20 +377,16 @@ def _search(source, r: int, integer_only: bool, class_coords, keep: bool):
 # ---------------------------------------------------------------------------
 # weights
 
-# cache pools per field context; ``field_init`` memoises contexts, so
-# this never grows beyond the levels actually used, and a context made
-# directly gets pools of its own.  The engine asks only for the base
-# contexts (r, 1) and (r, r + 1); other contexts fill only when weights
-# are asked for there directly, as ``sweep_sum`` does
-_CACHES: dict = {}
-
-
 def _cache(ctx: FieldContext) -> dict:
-    got = _CACHES.get(ctx)
+    """The weight pools of ``ctx``, kept on it (``weight_pools``), so
+    they live and die with the context.  The engine asks only for the
+    base contexts (r, 1) and (r, r + 1); other contexts fill only when
+    weights are asked for there directly, as ``sweep_sum`` does."""
+    got = ctx.weight_pools
     if got is None:
-        got = {"triangle": {}, "tet": {}, "tet_raw": {}, "local": {},
-               "local_raw": {}, "ext": {}, "vertex": None}
-        _CACHES[ctx] = got
+        got = ctx.weight_pools = {
+            "triangle": {}, "tet": {}, "tet_raw": {}, "local": {},
+            "local_raw": {}, "ext": {}, "vertex": None}
     return got
 
 
@@ -548,19 +550,12 @@ def colouring_weight(source, colouring, r: int, q: int = 1) -> Cyc:
 # ---------------------------------------------------------------------------
 # state sum
 
-# facts that depend on a skeleton's content alone (its validity, Z/2
-# cocycle basis, search plan, elimination plan and step layouts), kept
-# per distinct skeleton while one equal to it is alive: within one call
-# ``tv_odd_fast`` sums at two levels, ``compute --class`` needs the
-# cocycle basis three times and ``verify`` searches four times
-_DERIVED = weakref.WeakKeyDictionary()
-
-
 def _derived(skel: Skeleton, build):
-    """``build(skel)``, built once per distinct skeleton."""
-    facts = _DERIVED.get(skel)
-    if facts is None:
-        facts = _DERIVED[skel] = {}
+    """``build(skel)``, built once per skeleton and kept on it
+    (``Skeleton.derived``): within one call ``tv_odd_fast`` sums at two
+    levels, ``compute --class`` needs the cocycle basis three times and
+    ``verify`` searches four times."""
+    facts = skel.derived
     got = facts.get(build)
     if got is None:
         got = facts[build] = build(skel)
@@ -579,7 +574,7 @@ def _closed_report(skel: Skeleton):
 
 
 def _checked_skeleton(source) -> Skeleton:
-    """The skeleton of ``source``, validated once per distinct skeleton."""
+    """The skeleton of ``source``, validated once per skeleton."""
     skel = _as_skeleton(source)
     _derived(skel, _closed_report)
     return skel
@@ -798,40 +793,12 @@ def _base_q(r: int, q: int) -> tuple:
     return r + 1, (q + r) % (2 * r)
 
 
-def _elimination_sum(skel: Skeleton, r: int, q: int,
-                     class_coords=None) -> Cyc:
-    """State sum at (r, q) from one engine run at the base q.
-
-    ``_elimination_walk`` runs at (r, 1), or at (r, r + 1) for even q,
-    and the value is mapped into (r, q) by ``Cyc.galois`` (``_base_q``).
-    The weight pools thus fill for at most two contexts per level.
-
-    Equals ``sweep_sum`` over ``enumerate_admissible`` with the same
-    ``class_coords``.
-    """
-    ctx = field_init(r, q)
-    base, s = _base_q(r, q)
-    value = _elimination_walk(skel, field_init(r, base), class_coords)
-    return value if base == q else value.galois(s, ctx)
-
-
-def _elimination_walk(skel: Skeleton, ctx: FieldContext,
-                      class_coords=None) -> Cyc:
-    """State sum in the context ``ctx``, by dynamic programming over
-    tetrahedra.
-
-    ``_packed_walk``'s value, read back in Z[x]/(x^r + 1), reduced by
-    Phi_2r, over its denominator, times the vertex factor.
-    """
-    value, den, _, width = _packed_walk(skel, ctx, class_coords)
-    return ctx.from_packed(value, width, den) * vertex_weight(ctx) ** skel.v
-
-
 def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
                  width=None):
     """The fixed-parameter algorithm of Burton, Maria and Spreer
-    (arXiv:1503.04099), with table values packed at ``width`` bits per
-    slot, or at a first width sized from step 1's factors when None.
+    (arXiv:1503.04099) in the context ``ctx``, with table values packed
+    at ``width`` bits per slot, or at a first width sized from step 1's
+    factors when None.
 
     Returns (packed entry of the class or 0, product of the per-step
     denominators, bound, final width): every coefficient of the
@@ -886,9 +853,7 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
     table = {(0,): 1}           # key: active colours, then class bits
     for done, step in enumerate(steps, 1):
         sig_of = step.sig_of
-        lists = ext_pool.get((integer_only, step.kind))
-        if lists is None:
-            lists = ext_pool[integer_only, step.kind] = {}
+        lists = ext_pool.setdefault((integer_only, step.kind), {})
         # local factors by raw colours, one memo per (new edge
         # positions, new faces), which steps of several kinds share
         raw = raw_pool.setdefault((step.new_edges, step.kind[0]), {})
@@ -948,26 +913,25 @@ def _packed_walk(skel: Skeleton, ctx: FieldContext, class_coords,
     return table.get((target,), 0), den, limit.bit_length(), width
 
 
-def state_sum(source, r: int, q: int = 1, class_coords=None):
-    """Exact invariant value plus the statistics of the colouring search.
+def tv(source, r: int, q: int = 1, class_coords=None) -> Cyc:
+    """The invariant of a closed triangulation at (r, q): the sum of the
+    weights of all admissible colourings, or of those whose half-integer
+    pattern lies in the Z/2 cohomology class ``class_coords``.
 
-    The value comes from the elimination engine; the statistics from
-    ``count_admissible`` with the same class.
+    One ``_packed_walk`` at the base q (``_base_q``), read back, times
+    the vertex factor, mapped into (r, q) by ``Cyc.galois``; equals
+    ``sweep_sum`` over ``enumerate_admissible`` with the same class.
     """
     skel = _checked_skeleton(source)
-    stats = count_admissible(skel, r, class_coords=class_coords)
-    value = _elimination_sum(skel, r, q, class_coords=class_coords)
-    return value, stats
-
-
-def tv(source, r: int, q: int = 1) -> Cyc:
-    """The invariant of a closed triangulation: sum of the weights of all
-    admissible colourings."""
-    return _elimination_sum(_checked_skeleton(source), r, q)
+    ctx = field_init(r, q)
+    base, s = _base_q(r, q)
+    walk_ctx = field_init(r, base)
+    value, den, _, width = _packed_walk(skel, walk_ctx, class_coords)
+    value = (walk_ctx.from_packed(value, width, den)
+             * vertex_weight(walk_ctx) ** skel.v)
+    return value if base == q else value.galois(s, ctx)
 
 
 def tv_at_class(source, r: int, q: int, class_coords) -> Cyc:
-    """Partial invariant: only colourings whose half-integer pattern lies
-    in the given cohomology class (bit per class generator)."""
-    return _elimination_sum(_checked_skeleton(source), r, q,
-                            class_coords=class_coords)
+    """``tv`` restricted to the cohomology class ``class_coords``."""
+    return tv(source, r, q, class_coords)

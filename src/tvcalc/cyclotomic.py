@@ -108,9 +108,10 @@ class FieldContext:
     Requires gcd(r, q) = 1 and 0 < q < 2r, so zeta^2 is a primitive r-th
     root of unity.  Instances keep the modulus's nonzero terms for the
     one reduction by Phi_2r, cache the quantum integers and their
-    inverses they hand out, and, from the first tetrahedron sum on, one
+    inverses they hand out, from the first tetrahedron sum on, one
     packed table of [n+1] and [n k] for n <= r - 2 at one slot width
-    (``_packed_table``); get one via ``field_init``.
+    (``_packed_table``), and the weight pools of ``colourings``
+    (``weight_pools``); get one via ``field_init``.
     """
 
     def __init__(self, r: int, q: int):
@@ -144,6 +145,7 @@ class FieldContext:
         # (width, heads, rows): [n+1] and [n k], k <= n/2, for
         # n <= r - 2, packed once at one width (``_packed_table``)
         self._packed = None
+        self.weight_pools = None    # made by ``colourings._cache``
 
     def __repr__(self) -> str:
         return f"FieldContext(r={self.r}, q={self.q})"
@@ -574,6 +576,9 @@ class Cyc:
                 and self.den == other.den)
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((id(self.ctx), self.num, self.den))
 
     def __repr__(self):

@@ -19,11 +19,11 @@ from .colourings import (
     EnumerationStats,
     _backtrack,
     _checked_skeleton,
+    _depth_checks,
     _derived,
     count_admissible,
     sweep_sum,
     tv,
-    tv_at_class,
     vertex_weight,
 )
 from .cyclotomic import Cyc, field_init
@@ -51,11 +51,7 @@ def _extend_cocycle(skel: Skeleton, mask: int, stats):
     """
     colours = [(mask >> j) & 1 for j in range(skel.e)]
     kernel = [j for j in range(skel.e) if not colours[j]]
-    level = {c: k for k, c in enumerate(kernel)}
-    checks = [[] for _ in range(len(kernel) + 1)]
-    for tri in skel.triangle_edge_classes:
-        if all(c in level for c in tri):
-            checks[1 + max(level[c] for c in tri)].append(tri)
+    checks = _depth_checks(kernel, skel.triangle_edge_classes)
     return _backtrack(4, (0, 2), colours, kernel, checks, stats)
 
 
@@ -122,7 +118,7 @@ def tv_odd_fast(source, r: int) -> Cyc:
     scale = level3.as_rational() / zero_weight.as_rational()
 
     beta1 = _derived(skel, cocycle_space_1).beta1
-    trivial = tv_at_class(skel, r, 1, (0,) * beta1)
+    trivial = tv(skel, r, 1, (0,) * beta1)
     return trivial * scale
 
 

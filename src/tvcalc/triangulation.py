@@ -15,7 +15,7 @@ colouring machinery needs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "ALL_PERMS",
@@ -337,6 +337,10 @@ class Skeleton:
     tet_edge_classes: tuple        # per tet, classes of edges 01,02,03,12,13,23
     triangle_edge_classes: tuple   # per triangle class, its 3 edge classes
     edge_endpoints: tuple          # per edge class, (tail, head) vertex classes
+    # facts built from the classes above (validity, cocycle basis,
+    # plans), filled by ``colourings._derived``; not part of the value
+    derived: dict = field(default_factory=dict, compare=False, hash=False,
+                          repr=False)
 
     @property
     def n(self) -> int:

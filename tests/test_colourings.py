@@ -23,7 +23,6 @@ from tvcalc import (
     numeric_eval,
     pachner_23,
     parse_triangulation,
-    state_sum,
     sweep_sum,
     tetrahedron_weight,
     tv,
@@ -713,7 +712,7 @@ def test_weight_caches_stay_bounded(census1, census2, factorials):
     ctx = value.ctx
     assert set(vars(ctx)) == {
         "r", "q", "order", "modulus", "degree", "_mod_terms", "zero",
-        "one", "zeta", "_qint", "_inv_qint", "_packed"}
+        "one", "zeta", "_qint", "_inv_qint", "_packed", "weight_pools"}
     width, heads, rows = ctx._packed
     assert width == 42
     assert len(heads) == len(rows) == r - 1
@@ -827,13 +826,13 @@ def test_weight_system_matches_colouring_weight(census1):
 
 
 def test_state_sum_matches_sweep(z2hs2):
-    # the value comes from the elimination engine, the stats from the
-    # search; the sweep over the searched colourings must agree
+    # the value comes from the engine, the stats from the search; the
+    # sweep over the searched colourings must agree
     tri = z2hs2[0]
     skel = build_skeleton(tri)
     found, found_stats = enumerate_admissible(skel, 5)
     for q in (1, 3):
-        value, stats = state_sum(tri, 5, q)
+        value, stats = tv(tri, 5, q), count_admissible(tri, 5)
         assert value == sweep_sum(skel, found, 5, q)
         assert stats == found_stats
 

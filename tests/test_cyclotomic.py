@@ -570,3 +570,19 @@ def test_division_by_zero_raises():
         ctx.one / 0
     with pytest.raises(ZeroDivisionError):
         ctx.one / Fraction(0)
+
+
+def test_rational_elements_hash_as_their_fraction():
+    # equal objects must hash equally: a rational element equals its int
+    # or Fraction, so sets and dicts must treat them as one key
+    ctx = field_init(5, 1)
+    assert ctx.one == 1 and hash(ctx.one) == hash(1)
+    assert len({ctx.one, 1}) == 1
+    half = ctx.one / 2
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({ctx.zero, 0, Fraction(0)}) == 1
+    assert {ctx.one: "a"}[1] == "a"
+    # other elements still hash by context and coefficients
+    assert hash(ctx.zeta) == hash(ctx.zeta_power(1))
+    assert len({ctx.zeta, ctx.zeta_power(-1), ctx.one}) == 3
